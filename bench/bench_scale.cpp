@@ -27,9 +27,8 @@
 // a results.sweep array carrying the per-K events/s, the speedup curve
 // relative to the first K, and the per-K epoch statistics (epochs run,
 // mean/max epoch width in sim-ms, events per epoch), which bench/trend.py
-// gates per (shards, window_mode). A digest mismatch exits non-zero after
-// the JSON is written. --window-mode static|adaptive picks the epoch
-// policy; digests are identical either way.
+// gates per shard count. A digest mismatch exits non-zero after the JSON
+// is written.
 #include <cstdio>
 #include <iostream>
 #include <string>
@@ -237,11 +236,6 @@ int main(int argc, char** argv) {
       "sweep-shards", "",
       "comma-separated shard counts; runs the same universe once per K, "
       "asserts digest equality and emits a per-K speedup curve");
-  const auto* window_mode = flags.add_string(
-      "window-mode", "adaptive",
-      "sharded epoch-width policy: adaptive (stride to the next event "
-      "plus lookahead) | static (fixed min-latency window); digests are "
-      "identical either way");
   const auto* profile_name = flags.add_string(
       "profile", "",
       "named parameter preset: 'ci' (n=2000, short churn) or 'million' "
@@ -269,11 +263,6 @@ int main(int argc, char** argv) {
   }
   if (*shards < 0) {
     std::cerr << "--shards must be >= 0 (0 = serial engine)\n"
-              << flags.usage("bench_scale");
-    return 1;
-  }
-  if (*window_mode != "static" && *window_mode != "adaptive") {
-    std::cerr << "--window-mode must be static or adaptive\n"
               << flags.usage("bench_scale");
     return 1;
   }
@@ -309,8 +298,6 @@ int main(int argc, char** argv) {
   cfg.protocol = core::protocol_kind::nylon;
   cfg.gossip.view_size = 15;
   cfg.seed = static_cast<std::uint64_t>(*seed);
-  cfg.window_mode = *window_mode == "static" ? sim::window_mode::static_window
-                                             : sim::window_mode::adaptive;
 
   run_params params;
   params.warmup = *warmup;
@@ -333,7 +320,6 @@ int main(int argc, char** argv) {
     std::cout << "# bench_scale: n=" << cfg.peer_count << " warmup=" << *warmup
               << " churn_rounds=" << *churn_rounds << " arrivals=" << *arrivals
               << "/s rebind=" << *rebind << " shards=" << cfg.shards
-              << (cfg.shards > 0 ? " window_mode=" + *window_mode : "")
               << " seed=" << cfg.seed
               << (profile_name->empty() ? ""
                                         : " (profile " + *profile_name + ")")
@@ -363,7 +349,6 @@ int main(int argc, char** argv) {
   report.param("arrivals_per_sec", *arrivals);
   report.param("rebind_frac", *rebind);
   report.param("shards", outcomes.back().shards);
-  report.param("window_mode", *window_mode);
   if (!sweep.empty()) report.param("sweep_shards", *sweep_flag);
   if (!profile_name->empty()) report.param("profile", *profile_name);
   report.param("seed", static_cast<std::int64_t>(cfg.seed));

@@ -1,12 +1,11 @@
 // The one experiment driver: executes any declarative experiment spec
 // (examples/specs/*.json) — sweep axes, typed probes, workload programs,
-// per-spec profiles, table and BENCH_*.json emission — replacing the
-// hand-rolled per-figure bench mains. Flags mirror the legacy sweep
-// benches, so
+// per-spec profiles, table and BENCH_*.json emission:
 //
 //   nylon_exp examples/specs/fig3_stale.json --n 2000 --seeds 8 --json out.json
 //
-// behaves exactly like the old bench_fig3_stale did at those settings.
+// Flags choose scale, seeding, engine and outputs; what the study varies
+// (latency model, protocol, NAT mix) lives in the spec's "base" block.
 // Paper scale is per-spec: `--profile full` applies the spec's own
 // "profiles.full" override block (explicit flags still win). Exits
 // non-zero when any check probe failed.
@@ -46,11 +45,6 @@ int main(int argc, char** argv) {
       "shards", 0,
       "shards per universe (0 = serial engine; K >= 1 = sharded engine, "
       "byte-identical for every K)");
-  const auto* window_mode = flags.add_string(
-      "window-mode", "adaptive",
-      "sharded epoch-width policy: adaptive (stride to the next event "
-      "plus lookahead) | static (fixed min-latency window); digests are "
-      "identical either way");
   const auto* json = flags.add_string(
       "json", "", "also write machine-readable results to this file");
   const auto* transport = flags.add_string(
@@ -60,17 +54,6 @@ int main(int argc, char** argv) {
   const auto* udp_time_scale = flags.add_double(
       "udp-time-scale", 0.0,
       "udp pacing in wall seconds per simulated second (0 = default 0.02)");
-  const auto* latency_model = flags.add_string(
-      "latency-model", "fixed",
-      "one-way delay distribution: fixed | uniform | lognormal");
-  const auto* latency_ms = flags.add_int(
-      "latency-ms", 50,
-      "latency parameter: fixed value / uniform lower bound / "
-      "lognormal median");
-  const auto* latency_max_ms =
-      flags.add_int("latency-max-ms", 50, "uniform model upper bound");
-  const auto* latency_sigma =
-      flags.add_double("latency-sigma", 0.25, "lognormal log-space sigma");
   const auto* trajectories = flags.add_bool(
       "trajectories", false,
       "record per-seed workload trajectories into the JSON report");
@@ -158,17 +141,6 @@ int main(int argc, char** argv) {
               << flags.usage(usage_name);
     return 1;
   }
-  if (*latency_model != "fixed" && *latency_model != "uniform" &&
-      *latency_model != "lognormal") {
-    std::cerr << "--latency-model must be fixed, uniform or lognormal\n"
-              << flags.usage(usage_name);
-    return 1;
-  }
-  if (*window_mode != "static" && *window_mode != "adaptive") {
-    std::cerr << "--window-mode must be static or adaptive\n"
-              << flags.usage(usage_name);
-    return 1;
-  }
   if (*transport != "sim" && *transport != "sim-frames" && *transport != "udp") {
     std::cerr << "--transport must be sim, sim-frames or udp "
                  "(see --list-transports)\n"
@@ -212,14 +184,9 @@ int main(int argc, char** argv) {
   opt.seed = static_cast<std::uint64_t>(*seed);
   opt.threads = static_cast<int>(*threads);
   opt.shards = static_cast<std::size_t>(*shards);
-  opt.window_mode = *window_mode;
   opt.json = *json;
   opt.transport = *transport;
   opt.udp_time_scale = *udp_time_scale;
-  opt.latency_model = *latency_model;
-  opt.latency_ms = *latency_ms;
-  opt.latency_max_ms = *latency_max_ms;
-  opt.latency_sigma = *latency_sigma;
   opt.trajectories = *trajectories;
   opt.timeline = *timeline || *timeline_period > 0 || !timeline_csv->empty();
   opt.timeline_period_s = *timeline_period;

@@ -12,18 +12,15 @@ Files are ordered by modification time (oldest first) unless given
 explicitly, in which case argument order is kept.
 
 Sweep documents (bench_scale --sweep-shards) expand into one row per
-shard count, and the regression gate runs *per (transport, shard count,
-window mode)*: for every combination present in the newest document, the
+shard count, and the regression gate runs *per (transport, shard
+count)*: for every combination present in the newest document, the
 newest events/s is held against the best ever recorded for the same
 combination. A serial-engine improvement can therefore never mask a
-sharded-engine regression (and vice versa), a wall-clock-paced udp run
-can neither shadow nor be judged by a sim run's throughput, and an
-adaptive-window run never swallows a static-window regression (the two
-policies have different events/s by design; artifacts predating the
-window_mode field are all static). Sharded rows also print the epoch
-statistics (epochs run, mean epoch width in sim-ms, events per epoch) so
-a window-policy change shows up as a visible epoch-count shift, not just
-a throughput delta. Exits non-zero when any K in the newest run is more
+sharded-engine regression (and vice versa), and a wall-clock-paced udp
+run can neither shadow nor be judged by a sim run's throughput. Sharded
+rows also print the epoch statistics (epochs run, mean epoch width in
+sim-ms, events per epoch) so an epoch-cutting change shows up as a
+visible epoch-count shift, not just a throughput delta. Exits non-zero when any K in the newest run is more
 than --threshold percent below its per-K best; with a single file it
 just prints the rows.
 """
@@ -82,17 +79,12 @@ def load_rows(path):
     # compared against (or shadow the best of) a sim run — the gate keys
     # on (transport, shards).
     transport = doc.get("transport") or params.get("transport") or "sim"
-    # The epoch-width policy (adaptive windows PR) keys the gate the same
-    # way: static and adaptive runs are different performance regimes.
-    # Artifacts predating the field all ran static windows.
-    window_mode = params.get("window_mode") or "static"
 
     def row(shards, entry, imbalance, barrier):
         return {
             "path": path,
             "n": params.get("n"),
             "transport": transport,
-            "window_mode": window_mode if shards else "-",
             "shards": shards,
             "events": entry.get("events_executed"),
             "events_per_sec": entry.get("events_per_sec"),
@@ -141,14 +133,14 @@ def main():
         print("no usable BENCH_scale documents found", file=sys.stderr)
         return 1
 
-    header = (f"{'run':<40} {'n':>8} {'carrier':>10} {'mode':>8} {'K':>3} "
+    header = (f"{'run':<40} {'n':>8} {'carrier':>10} {'K':>3} "
               f"{'events':>12} {'events/s':>12} {'vs best':>9} {'epochs':>8} "
               f"{'ep_w_ms':>8} {'ev/ep':>8} {'imbal':>7} {'barrier':>8}")
     print(header)
     print("-" * len(header))
 
     def gate_key(row):
-        return (row["transport"], row["shards"], row["window_mode"])
+        return (row["transport"], row["shards"])
 
     best_by_k = {}
     for row in rows:
@@ -175,7 +167,7 @@ def main():
         barrier = (f"{row['barrier_overhead_pct']:>7.1f}%"
                    if row["barrier_overhead_pct"] is not None else f"{'-':>8}")
         print(f"{label:<40} {row['n'] or 0:>8} {row['transport']:>10} "
-              f"{row['window_mode']:>8} {k:>3} {row['events'] or 0:>12} "
+              f"{k:>3} {row['events'] or 0:>12} "
               f"{eps:>12.0f} {vs_best} {epochs} {width} {ev_ep} {imbal} "
               f"{barrier}")
 
@@ -203,7 +195,7 @@ def main():
             if val is None or best is None or val <= best + slack:
                 continue
             print(f"WARNING: newest run at transport={row['transport']} "
-                  f"K={row['shards']} mode={row['window_mode']} has "
+                  f"K={row['shards']} has "
                   f"{field}={val:.3f}, above the best recorded {best:.3f} "
                   f"for that combination (warn-only, not a gate failure)",
                   file=sys.stderr)
@@ -219,7 +211,7 @@ def main():
             if drop > args.threshold:
                 print(f"REGRESSION: newest run at transport="
                       f"{row['transport']} K={row['shards']} "
-                      f"mode={row['window_mode']} is {drop:.1f}% below the "
+                      f"is {drop:.1f}% below the "
                       f"best for that combination ({eps:.0f} vs {best:.0f} "
                       f"events/s)", file=sys.stderr)
                 failed = True

@@ -8,7 +8,6 @@
 #include "core/peer_factory.h"
 #include "gossip/policies.h"
 #include "nat/deployment.h"
-#include "sim/shard_engine.h"
 #include "sim/time.h"
 
 namespace nylon::runtime {
@@ -65,13 +64,6 @@ struct experiment_config {
   /// serial engine's — see DESIGN.md "Sharded determinism contract").
   /// Requires a latency model with min_delay() >= 1 ms.
   std::size_t shards = 0;
-  /// Epoch-width policy of the sharded engine (ignored when shards == 0).
-  /// `adaptive` sizes each epoch from the earliest pending event across
-  /// shards plus the transport's live lookahead, so quiet stretches cross
-  /// in one stride; `static_window` is the fixed min-latency stride. The
-  /// two produce byte-identical digests (DESIGN.md "Sharded determinism
-  /// contract") — this knob is performance-only.
-  sim::window_mode window_mode = sim::window_mode::adaptive;
   /// Which carrier moves the datagrams (see transport_kind). `udp`
   /// requires shards == 0.
   transport_kind transport = transport_kind::sim;

@@ -48,10 +48,10 @@ scenario::scenario(const experiment_config& cfg) : cfg_(cfg), rng_(cfg.seed) {
     const sim::sim_time window = latency->min_delay();
     NYLON_EXPECTS(window >= 1);
     // The lookahead provider defers to the transport (constructed just
-    // below), so adaptive epochs see the live latency-class floor, not a
-    // snapshot taken at build time.
+    // below), so epochs see the live latency-class floor, not a snapshot
+    // taken at build time.
     shards_ = std::make_unique<sim::shard_engine>(
-        cfg_.shards, window, cfg_.window_mode,
+        cfg_.shards, window,
         [this]() noexcept { return transport_->lookahead(); });
   }
   transport_ = std::make_unique<net::transport>(sched_, rng_,

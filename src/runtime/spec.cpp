@@ -1,5 +1,6 @@
 #include "runtime/spec.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <charconv>
 #include <cmath>
@@ -60,7 +61,7 @@ std::string token_of(const util::json& v) {
 }
 
 /// Resolves a value token to a number. "$view_a"/"$view_b" refer to the
-/// driver options (the legacy --view-a/--view-b flags).
+/// driver options (nylon_exp's --view-a/--view-b flags).
 double numeric_token(const std::string& key, const std::string& token,
                      const spec_options& opt) {
   if (token == "$view_a") return static_cast<double>(opt.view_a);
@@ -223,16 +224,6 @@ std::string apply_setting(experiment_config& cfg, const std::string& key,
   }
   if (key == "shards") {
     cfg.shards = count_token(key, token, opt);
-    return token;
-  }
-  if (key == "window_mode") {
-    if (token == "static") {
-      cfg.window_mode = sim::window_mode::static_window;
-    } else if (token == "adaptive") {
-      cfg.window_mode = sim::window_mode::adaptive;
-    } else {
-      bad("unknown window_mode \"" + token + "\" (static | adaptive)");
-    }
     return token;
   }
   if (key == "transport") {
@@ -1373,9 +1364,8 @@ struct spec_execution {
 
   /// Simulates one cell at one seed and evaluates `sels` on the final
   /// state. The probe-visible window is the measured span. When
-  /// capturing, `capture` receives the per-seed trajectory and/or check
-  /// outcomes (trajectory-only capture keeps the bare-array form older
-  /// reports used).
+  /// capturing, `capture` receives an object with the per-seed
+  /// "trajectory", "checks" and/or "timeline" members.
   std::vector<double> run_once(experiment_config cfg, std::uint64_t seed,
                                std::span<const metrics::probe_selector> sels,
                                const param_map& params,
@@ -1440,8 +1430,7 @@ struct spec_execution {
         trajectory = workload::to_json(eng.trajectory());
       }
     } else {
-      // Matches the hand-rolled benches exactly: a plain
-      // run_periods(rounds) without warm-up, or Fig. 7's warm-up +
+      // A plain run_periods(rounds) without warm-up, or Fig. 7's warm-up +
       // traffic reset + steady-state window.
       if (warmup > 0) {
         world.run_periods(warmup);
@@ -1466,8 +1455,8 @@ struct spec_execution {
     if (capture != nullptr) {
       util::json check_results;
       if (capture_checks) {
-        // Checks run after the probe columns so battery-building probes
-        // keep their legacy rng position.
+        // Checks run after the probe columns so adding a check never
+        // moves a battery-building probe's rng position.
         check_results = util::json::array();
         for (const metrics::probe* p : check_probes) {
           const obs::trace_span span(p->name);
@@ -1477,26 +1466,17 @@ struct spec_execution {
           entry["detail"] = v.check.detail;
         }
       }
-      if (capture_traj && !capture_checks && !capture_timeline) {
-        // Trajectory-only capture keeps the bare-array form older
-        // reports used (digest-pinned).
-        *capture = std::move(trajectory);
-      } else {
-        util::json parts = util::json::object();
-        if (capture_traj) parts["trajectory"] = std::move(trajectory);
-        if (capture_checks) parts["checks"] = std::move(check_results);
-        if (capture_timeline) {
-          parts["timeline"] = recorder->samples_json();
-        }
-        *capture = std::move(parts);
-      }
+      util::json parts = util::json::object();
+      if (capture_traj) parts["trajectory"] = std::move(trajectory);
+      if (capture_checks) parts["checks"] = std::move(check_results);
+      if (capture_timeline) parts["timeline"] = recorder->samples_json();
+      *capture = std::move(parts);
     }
     return out;
   }
 
   /// One multi-seed sweep of a cell; fills `per_seed` with captures when
-  /// capturing. `single_seed` specs run exactly once at the raw base
-  /// seed (the legacy §5 form — no derive_seed).
+  /// capturing.
   std::vector<seed_aggregate> sweep(
       const experiment_config& cfg,
       std::span<const metrics::probe_selector> sels, const param_map& params,
@@ -1504,22 +1484,6 @@ struct spec_execution {
     run_options ropt{};
     ropt.threads = opt.threads;
     ropt.shards = cfg.shards;
-    if (spec.single_seed) {
-      util::json capture;
-      const std::vector<double> values =
-          run_once(cfg, opt.seed, sels, params,
-                   capturing() ? &capture : nullptr);
-      std::vector<seed_aggregate> aggs(sels.size());
-      for (std::size_t m = 0; m < sels.size(); ++m) {
-        aggs[m].values = {values[m]};
-        aggs[m].stats = util::summarize(aggs[m].values);
-      }
-      if (per_seed != nullptr) {
-        *per_seed = util::json::array();
-        per_seed->push_back(std::move(capture));
-      }
-      return aggs;
-    }
     if (!capturing()) {
       return run_seeds_multi(
           opt.seeds, opt.seed, sels.size(),
@@ -1544,8 +1508,7 @@ struct spec_execution {
   }
 };
 
-/// Iterates the cartesian product of the row axes (last axis fastest,
-/// like the nested loops of the hand-rolled benches).
+/// Iterates the cartesian product of the row axes (last axis fastest).
 template <typename Fn>
 void for_each_row(const std::vector<spec_axis>& axes, Fn&& fn) {
   std::vector<std::size_t> index(axes.size(), 0);
@@ -1612,10 +1575,9 @@ shared_plan build_shared_plan(const experiment_spec& spec) {
   return plan;
 }
 
-/// The preamble's trailing scale hint. The reduced-scale wording is
-/// frozen by the byte-identity contract: the pre-port binaries printed
-/// it, and their digests pin the spec replacements (--full is now
-/// spelled --profile full; see DESIGN.md "Probe taxonomy & profiles").
+/// The standard "# title / # n=..." preamble, or the spec's literal
+/// lines. The scale hint names the profile in use, or points at the
+/// spec's "full" profile when it declares one.
 void print_preamble(const experiment_spec& spec, const spec_options& opt,
                     std::ostream& out) {
   if (!spec.preamble.empty()) {
@@ -1626,10 +1588,15 @@ void print_preamble(const experiment_spec& spec, const spec_options& opt,
       << "# n=" << opt.peers << " seeds=" << opt.seeds
       << " rounds=" << opt.rounds << " views={" << opt.view_a << ","
       << opt.view_b << "}";
-  if (opt.profile.empty()) {
-    out << " (reduced scale; --full for paper scale)";
-  } else {
+  const bool has_full =
+      std::any_of(spec.profiles.begin(), spec.profiles.end(),
+                  [](const auto& p) { return p.first == "full"; });
+  if (!opt.profile.empty()) {
     out << " (profile " << opt.profile << ")";
+  } else if (has_full) {
+    out << " (reduced scale; --profile full for paper scale)";
+  } else {
+    out << " (reduced scale)";
   }
   out << "\n";
 }
@@ -1846,7 +1813,8 @@ util::json run_spec(const experiment_spec& spec, const spec_options& opt,
   spec.validate();
 
   const spec_profile* prof = nullptr;
-  const spec_options eff = effective_options(spec, opt, &prof);
+  spec_options eff = effective_options(spec, opt, &prof);
+  if (spec.single_seed) eff.seeds = 1;
 
   print_preamble(spec, eff, out);
 
@@ -1926,9 +1894,9 @@ util::json run_spec(const experiment_spec& spec, const spec_options& opt,
       exec.timeline_cols.push_back(resolve_timeline_column(token));
     }
 
-    // Base config: driver options first (exactly bench::base_config), then
-    // the spec's own overrides. '$'-keys accumulate as workload variables,
-    // '%'-keys as probe parameters, instead of touching the config.
+    // Base config: driver options first, then the spec's own overrides.
+    // '$'-keys accumulate as workload variables, '%'-keys as probe
+    // parameters, instead of touching the config.
     var_map base_vars = builtins;
     param_map base_params;
     const auto apply_or_var = [&eff](experiment_config& cfg, var_map& vars,
@@ -1949,32 +1917,17 @@ util::json run_spec(const experiment_spec& spec, const spec_options& opt,
     base_cfg.peer_count = eff.peers;
     base_cfg.gossip.view_size = eff.view_a;
     base_cfg.shards = eff.shards;
-    apply_setting(base_cfg, "latency_model", eff.latency_model, eff);
-    base_cfg.latency = sim::millis(eff.latency_ms);
-    base_cfg.latency_max = sim::millis(eff.latency_max_ms);
-    base_cfg.latency_sigma = eff.latency_sigma;
     apply_setting(base_cfg, "transport", eff.transport, eff);
-    apply_setting(base_cfg, "window_mode", eff.window_mode, eff);
     if (eff.udp_time_scale > 0) base_cfg.udp_time_scale = eff.udp_time_scale;
     for (const auto& [key, token] : spec.base) {
       apply_or_var(base_cfg, base_vars, base_params, key, token);
     }
     // BENCH docs carry the transport so bench/trend.py can key trends on
     // it (sim and udp numbers must never mix); omitted for plain sim
-    // runs so every pre-existing document stays byte-identical.
+    // runs, which trend.py reads as the default.
     if (base_cfg.transport != transport_kind::sim) {
       report.add("transport", std::string(to_string(base_cfg.transport)));
     }
-    // Likewise the epoch-width policy, but only for sharded runs — it is
-    // meaningless in serial mode and omitting it there keeps every
-    // pre-existing serial document byte-identical.
-    if (base_cfg.shards > 0) {
-      report.add("window_mode",
-                 base_cfg.window_mode == sim::window_mode::adaptive
-                     ? std::string("adaptive")
-                     : std::string("static"));
-    }
-
     // Measurement plan of the shared-run ("probes") mode.
     const shared_plan plan = build_shared_plan(spec);
 
@@ -2091,10 +2044,6 @@ util::json run_spec(const experiment_spec& spec, const spec_options& opt,
             [&](util::json per_seed) -> capture_halves {
           capture_halves halves;
           if (per_seed.is_null()) return halves;
-          if (!exec.capture_checks && !exec.capture_timeline) {
-            halves.traj = std::move(per_seed);  // legacy bare form
-            return halves;
-          }
           const std::size_t seeds = per_seed.size();
           for (std::size_t j = 0; j < spec.checks.size(); ++j) {
             bool passed = true;

@@ -5,11 +5,9 @@
 // named workload::program, and how the result tables / BENCH_*.json
 // documents are laid out. One driver (bench/nylon_exp.cpp) executes any
 // spec via the multi-seed runner; specs are buildable programmatically or
-// loadable from JSON files (examples/specs/*.json). The ported figure
-// benches (fig2/fig3/fig4/fig7/fig8/fig9/fig10, the ablations, the §2.2
-// traversal table and the §5 correctness study) are pinned byte-identical
-// to their hand-rolled pre-spec mains by tests/integration/
-// spec_equivalence_test.cpp.
+// loadable from JSON files (examples/specs/*.json). The shipped figure,
+// ablation, §2.2 traversal and §5 correctness specs have their stdout and
+// JSON output digest-pinned by tests/integration/spec_equivalence_test.cpp.
 //
 // Probe taxonomy (metrics::probe): scalar probes fill cells directly;
 // per_class probes need a "class" key, distribution probes a "stat";
@@ -31,8 +29,7 @@ namespace nylon::runtime {
 
 /// One key=value configuration override, kept as raw tokens: values
 /// resolve at run time, so "$view_a"/"$view_b" can refer to the options
-/// the driver was launched with (matching the legacy --view-a/--view-b
-/// flags). Keys starting with '$' are workload variables; keys starting
+/// the driver was launched with (--view-a/--view-b). Keys starting with '$' are workload variables; keys starting
 /// with '%' are probe parameters (passed to the probes via
 /// probe_context::params instead of touching the config).
 using spec_setting = std::pair<std::string, std::string>;
@@ -55,8 +52,7 @@ struct spec_axis {
 };
 
 /// One table column in "columns" mode (each probe column is its own
-/// scenario sweep, like the hand-rolled benches that ran run_seeds once
-/// per column).
+/// scenario sweep).
 struct spec_column {
   enum class kind : std::uint8_t {
     probe,      ///< run a scenario per row and evaluate one probe
@@ -79,7 +75,7 @@ struct spec_column {
 };
 
 /// One probe column in "probes" mode: all probes of a row share a single
-/// scenario run (like the hand-rolled run_seeds_multi benches). Entries
+/// scenario run. Entries
 /// with `ratio_num >= 0` are computed from earlier entries' means (the
 /// Fig. 8 public/natted column) and run nothing themselves.
 struct spec_probe {
@@ -185,8 +181,8 @@ struct experiment_spec {
   /// No simulation at all: every cell is a world-free probe evaluation
   /// (probes with needs_world == false — the §2.2 traversal table).
   bool static_eval = false;
-  /// One run at the raw base seed per cell, no multi-seed derivation —
-  /// the legacy §5 correctness form (--seeds is ignored).
+  /// One derived seed per cell (derive_seed(seed, 0)); --seeds is
+  /// ignored and the preamble echoes seeds=1.
   bool single_seed = false;
   /// "": no warm-up. "half": rounds/2 warm-up + traffic reset (Fig. 7's
   /// steady-state window). An integer literal: that many warm-up rounds.
@@ -223,7 +219,9 @@ struct experiment_spec {
 /// failure, json_parse_error / contract_error on bad content).
 [[nodiscard]] experiment_spec load_spec_file(const std::string& path);
 
-/// Execution knobs, mirroring the legacy bench command line.
+/// Execution knobs: the scale, seeding, engine and output choices of one
+/// run (nylon_exp fills them from its flags). Study content —
+/// latency model, protocol, NAT mix — belongs in the spec's `base`.
 struct spec_options {
   std::size_t peers = 600;
   int seeds = 1;
@@ -234,14 +232,9 @@ struct spec_options {
   std::uint64_t seed = 1;
   int threads = 0;          ///< seed-level parallelism (0 = all cores)
   std::size_t shards = 0;   ///< per-universe shards (0 = serial engine)
-  std::string window_mode = "adaptive";  ///< static | adaptive (sharded)
   std::string json;         ///< write BENCH_*.json here ("" = off)
   std::string transport = "sim";  ///< sim | sim-frames | udp
   double udp_time_scale = 0.0;    ///< udp pacing (0 = config default)
-  std::string latency_model = "fixed";  ///< fixed | uniform | lognormal
-  std::int64_t latency_ms = 50;
-  std::int64_t latency_max_ms = 50;
-  double latency_sigma = 0.25;
   bool trajectories = false;  ///< force-enable trajectory capture
   /// Force-enable the sim-time health timeline even when the spec does
   /// not declare one (a default passive column set is used then).
@@ -266,7 +259,7 @@ struct spec_options {
 };
 
 /// Executes the spec: prints the preamble, tables (or CSV) and footer to
-/// `out` exactly like the hand-rolled benches did, writes the JSON report
+/// `out`, writes the JSON report
 /// to opt.json when set, and returns the report document. Check verdicts
 /// (when the spec has any) land under "checks"; all_checks_passed() says
 /// whether the driver should exit non-zero.

@@ -84,50 +84,6 @@ void event_queue::retire_front_bucket() noexcept {
   if (cached.t == t) cached.t = time_never;  // bucket no longer exists
 }
 
-void event_queue::push_sorted_batch(std::vector<staged_event>& batch) {
-  const std::size_t n = batch.size();
-  std::size_t i = 0;
-  while (i < n) {
-    const sim_time at = batch[i].at;
-    NYLON_EXPECTS(i == 0 || batch[i - 1].at <= at);  // sorted by time
-    // Resolve the bucket once for the whole same-timestamp run.
-    time_cache_entry& cached =
-        time_cache_[static_cast<std::uint64_t>(at) & (time_cache_size - 1)];
-    const std::uint32_t bindex =
-        cached.t == at ? cached.bucket : bucket_for_new_time(at, cached);
-    // Link the run into a detached chain first: acquire_slot never moves
-    // buckets_, so taking the bucket reference afterwards is safe even
-    // when bucket_for_new_time grew the pool above.
-    std::uint32_t head = no_slot;
-    std::uint32_t tail = no_slot;
-    for (; i < n && batch[i].at == at; ++i) {
-      NYLON_EXPECTS(static_cast<bool>(batch[i].fn));
-      const std::uint32_t slot = acquire_slot();
-      detail::event_slot& s = slab_->slot(slot);
-      s.fn = std::move(batch[i].fn);
-      s.next = no_slot;
-      s.cancelled = false;
-      s.live = true;
-      if (tail == no_slot) {
-        head = slot;
-      } else {
-        slab_->slot(tail).next = slot;
-      }
-      tail = slot;
-      ++queued_;
-    }
-    bucket& b = buckets_[bindex];
-    if (b.tail == no_slot) {
-      b.head = head;
-    } else {
-      slab_->slot(b.tail).next = head;
-    }
-    b.tail = tail;
-  }
-  obs::count_peak(obs::counter::queue_peak_depth, queued_);
-  batch.clear();
-}
-
 void event_queue::stage_sorted(std::vector<staged_event>& batch) {
   if (batch.empty()) return;
   for (std::size_t i = 1; i < batch.size(); ++i) {

@@ -39,8 +39,8 @@
 
 namespace nylon::sim {
 
-/// One canonically keyed event, used by the bulk-insert and staging APIs
-/// below (and, as `channel_event`, by the cross-shard channels).
+/// One canonically keyed event, used by the staging API below (and, as
+/// `channel_event`, by the cross-shard channels).
 /// `order_a` / `order_b` break ties among equal timestamps; the sharded
 /// transport uses (sender id, per-sender sequence number).
 struct staged_event {
@@ -235,16 +235,6 @@ class event_queue {
     obs::count_peak(obs::counter::queue_peak_depth, queued_);
     return event_handle(slab_, slot, s.generation);
   }
-
-  /// Bulk FIFO insert: exactly equivalent to pushing each event's
-  /// callback at its time in `batch` order, but events are pre-sorted by
-  /// ascending time (asserted), so each distinct timestamp resolves its
-  /// bucket once per run instead of once per event and the whole run
-  /// links in as one chain. Order keys are ignored — within a timestamp,
-  /// batch order is the FIFO order, as with individual pushes. No
-  /// cancellation handles are issued. `batch` is cleared (capacity kept)
-  /// so the caller can recycle it.
-  void push_sorted_batch(std::vector<staged_event>& batch);
 
   /// Stages a batch of canonically sorted (see canonical_less; keys
   /// unique) events into the staging lane. Lane events execute

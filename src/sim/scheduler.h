@@ -40,13 +40,6 @@ class scheduler {
   /// The task reschedules itself until its handle is cancelled.
   event_handle every(sim_time first, sim_time period, util::callback fn);
 
-  /// Bulk FIFO insert of events pre-sorted by ascending time (all
-  /// >= now); see event_queue::push_sorted_batch.
-  void push_sorted_batch(std::vector<staged_event>& batch) {
-    NYLON_EXPECTS(batch.empty() || batch.front().at >= now_);
-    queue_.push_sorted_batch(batch);
-  }
-
   /// Stages canonically sorted cross-shard events (all >= now) into the
   /// queue's staging lane; see event_queue::stage_sorted. Shard-engine
   /// barrier use only — never call from inside a running event.

@@ -138,8 +138,8 @@ struct shard_engine::worker_pool {
 };
 
 shard_engine::shard_engine(std::size_t shards, sim_time window,
-                           window_mode mode, lookahead_fn lookahead)
-    : window_(window), mode_(mode), lookahead_(std::move(lookahead)) {
+                           lookahead_fn lookahead)
+    : window_(window), lookahead_(std::move(lookahead)) {
   NYLON_EXPECTS(shards >= 1);
   NYLON_EXPECTS(window > 0);
   shards_.reserve(shards);
@@ -210,14 +210,11 @@ void shard_engine::drain_inbound(std::size_t dst) {
 }
 
 sim_time shard_engine::next_epoch_end(sim_time bound) const {
-  if (mode_ == window_mode::static_window) {
-    return std::min(bound, now_ + window_);
-  }
-  // Adaptive: the earliest pending event anywhere (staging lanes
-  // included — the engine cuts epochs on next_event_time, which covers
-  // both) bounds what this epoch can execute; nothing executing at
-  // >= t_min can schedule before t_min + lookahead. Idle shards
-  // contribute time_never and never constrain the stride.
+  // The earliest pending event anywhere (staging lanes included — the
+  // engine cuts epochs on next_event_time, which covers both) bounds what
+  // this epoch can execute; nothing executing at >= t_min can schedule
+  // before t_min + lookahead. Idle shards contribute time_never and never
+  // constrain the stride.
   sim_time t_min = time_never;
   for (const auto& s : shards_) {
     t_min = std::min(t_min, s->sched.next_event_time());

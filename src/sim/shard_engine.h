@@ -11,29 +11,23 @@
 // (see shard_channel.h and event_queue::stage_sorted). The lane — not a
 // plain FIFO insert — is what makes the executed stream independent of
 // *which* barrier staged each event: an event's execution slot depends
-// only on its canonical key, so every window policy below replays the
-// byte-identical simulation.
+// only on its canonical key, so wherever the epochs are cut the engine
+// replays the byte-identical simulation.
 //
 // Conservative-window synchronization: epochs are half-open spans
 // [start, end) of the millisecond grid, and every cross-shard event
 // posted during an epoch must land at or after the epoch's end (`post`
-// asserts it). The end is chosen so that no event executing this epoch
-// can schedule into it:
-//
-//  * static mode: end = start + W with W <= the minimum cross-shard
-//    latency — the classic fixed window;
-//  * adaptive mode: end = t_min + L, where t_min is the earliest
-//    pending event across all shards (staging lanes included) and L is
-//    the per-epoch lookahead (>= W; supplied by the transport from its
-//    latency model's live classes). Any event executing this epoch has
-//    timestamp >= t_min, so its sends land at >= t_min + L = end.
-//    Quiet stretches — t_min far ahead, or no events at all — collapse
-//    into one epoch instead of thousands of W-sized ones.
-//
-// Both policies stage a cross event no later than the barrier opening
-// the epoch that executes it, so with the canonical staging lane the
-// executed stream is identical under either (the adaptive-vs-static
-// digest tests pin this).
+// asserts it). The end is end = t_min + L, where t_min is the earliest
+// pending event across all shards (staging lanes included) and L is the
+// per-epoch lookahead (>= the floor W; supplied by the transport from
+// its latency model's live classes). Any event executing this epoch has
+// timestamp >= t_min, so its sends land at >= t_min + L = end. Quiet
+// stretches — t_min far ahead, or no events at all — collapse into one
+// epoch instead of thousands of W-sized ones. A cross event is staged no
+// later than the barrier opening the epoch that executes it, so with the
+// canonical staging lane the executed stream does not depend on where
+// run_until deadlines, sampler ticks or control events cut the epochs
+// (the epoch-cut invariance tests pin this).
 //
 // Determinism: given the same initial state and the same sequence of
 // run_until calls, the engine executes the identical event stream
@@ -41,7 +35,7 @@
 // follow the canonical-key discipline and keep all shared state reads
 // barrier-stable (see DESIGN.md "Sharded determinism contract"), the
 // stream is also independent of the *number of shards* and of the
-// window policy.
+// epoch cuts.
 //
 // Between run_until calls every shard is parked at `now()`; the caller
 // (the control plane: scenario construction, workload actions, metric
@@ -64,26 +58,18 @@
 
 namespace nylon::sim {
 
-/// Epoch-length policy (see the file comment).
-enum class window_mode : std::uint8_t {
-  static_window,  ///< fixed conservative window W per epoch
-  adaptive,       ///< per-epoch lookahead from the pending-event horizon
-};
-
 class shard_engine {
  public:
   /// Returns the current conservative lookahead: an exact lower bound on
   /// the delay of any cross-shard event schedulable from now on. Queried
-  /// once per adaptive epoch, always between epochs (all shards parked).
+  /// once per epoch, always between epochs (all shards parked).
   using lookahead_fn = std::function<sim_time()>;
 
   /// `shards` >= 1 clones of the scheduler machinery; `window` > 0 is
-  /// the static conservative epoch length (at most the minimum
-  /// cross-shard latency) and the floor of every adaptive stride. An
-  /// empty `lookahead` means adaptive epochs use `window` as the
-  /// lookahead (still striding over quiet stretches via t_min).
+  /// the lookahead floor (at most the minimum cross-shard latency). An
+  /// empty `lookahead` means epochs use `window` as the lookahead (still
+  /// striding over quiet stretches via t_min).
   shard_engine(std::size_t shards, sim_time window,
-               window_mode mode = window_mode::static_window,
                lookahead_fn lookahead = {});
   ~shard_engine();
 
@@ -94,7 +80,6 @@ class shard_engine {
     return shards_.size();
   }
   [[nodiscard]] sim_time window() const noexcept { return window_; }
-  [[nodiscard]] window_mode mode() const noexcept { return mode_; }
 
   /// Barrier time: every shard's clock equals this between run_until
   /// calls.
@@ -133,8 +118,8 @@ class shard_engine {
     return lease_floor_.load(std::memory_order_relaxed);
   }
 
-  /// Lockstep epochs completed so far (deterministic for a fixed window
-  /// policy and run_until sequence).
+  /// Lockstep epochs completed so far (deterministic for a fixed
+  /// run_until sequence).
   [[nodiscard]] std::uint64_t epochs() const noexcept { return epochs_; }
   /// Widest single epoch so far, in sim-ms (grid points executed).
   [[nodiscard]] sim_time epoch_width_max() const noexcept {
@@ -171,8 +156,8 @@ class shard_engine {
     std::uint64_t park_waits = 0;  ///< crossings that slept on the condvar
   };
 
-  /// Picks the next epoch's exclusive end in (now_, bound], per the
-  /// window policy. `bound` = final deadline + 1.
+  /// Picks the next epoch's exclusive end in (now_, bound]. `bound` =
+  /// final deadline + 1.
   [[nodiscard]] sim_time next_epoch_end(sim_time bound) const;
 
   /// Runs one epoch over [now_, end): every shard executes its events
@@ -197,7 +182,6 @@ class shard_engine {
   std::vector<std::unique_ptr<shard>> shards_;
   std::vector<shard_channel> channels_;  ///< K*K, row-major by source
   sim_time window_;
-  window_mode mode_;
   lookahead_fn lookahead_;
   sim_time now_ = 0;
   std::uint64_t epochs_ = 0;   ///< lockstep epochs completed

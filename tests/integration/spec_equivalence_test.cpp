@@ -1,10 +1,8 @@
-// Spec-vs-legacy equivalence guard: the six figure/ablation benches that
-// were ported from hand-rolled mains to declarative specs
-// (examples/specs/*.json + nylon_exp) must keep byte-identical stdout and
-// BENCH_*.json output. The digests below were captured by running the
-// *pre-port binaries* (bench_fig2_partition et al., commit 7f283d4) at
-// the exact options used here; the spec executor must reproduce every
-// byte — table layout, preamble, section headings, footers and the JSON
+// Output pins for the shipped specs: each figure/ablation/§2.2/§5 spec
+// (examples/specs/*.json), run through the spec executor at the options
+// below, must keep byte-identical stdout and BENCH_*.json output. The
+// digests are self-pins, captured from the executor itself: they cover
+// table layout, preamble, section headings, footers and the JSON
 // document. If a digest changes, either the executor regressed or
 // simulation semantics changed; both must be explicit, reviewed
 // decisions (see DESIGN.md, "Determinism contract").
@@ -53,82 +51,70 @@ void expect_digests(const char* spec_name, int seeds,
   std::ostringstream out;
   const util::json doc = runtime::run_spec(spec, opt, out);
   EXPECT_EQ(hex(fnv1a(out.str())), stdout_digest)
-      << spec_name << ": stdout diverged from the pre-port bench";
+      << spec_name << ": stdout diverged from its pin";
   EXPECT_EQ(hex(fnv1a(doc.dump_string(2) + "\n")), json_digest)
-      << spec_name << ": BENCH json diverged from the pre-port bench";
+      << spec_name << ": BENCH json diverged from its pin";
 }
 
 TEST(spec_equivalence, fig2_partition) {
-  expect_digests("fig2_partition", 1, "6e903e6d7c2137d0",
+  expect_digests("fig2_partition", 1, "67b7e32dcbb65dd3",
                  "6a84bed1de81de43");
 }
 
 TEST(spec_equivalence, fig3_stale) {
-  expect_digests("fig3_stale", 2, "41acd0e9dc16f640", "697f55f3b2d3dda7");
+  expect_digests("fig3_stale", 2, "4bd5c44b3ec9a635", "697f55f3b2d3dda7");
 }
 
-/// fig4 gained three randomness-battery columns (runs / serial /
-/// birthday-spacings over the sampled-id stream) after the port; the
-/// digests were re-captured from the extended spec. The first four
-/// columns still print byte-identically to the pre-port binary.
+/// fig4 also carries the randomness-battery columns (runs / serial /
+/// birthday-spacings over the sampled-id stream).
 TEST(spec_equivalence, fig4_randomness) {
-  expect_digests("fig4_randomness", 1, "113645413349f877",
+  expect_digests("fig4_randomness", 1, "af4ea29c3eba9b3e",
                  "240346f2262f4d1a");
 }
 
-/// fig10 was ported *in* this revision: digests captured by running the
-/// legacy bench_fig10_churn binary at these exact options and verified
-/// byte-identical against the spec before the binary was retired.
+/// fig10 runs a workload program per cell (the mass-departure sweep).
 TEST(spec_equivalence, fig10_churn) {
-  expect_digests("fig10_churn", 2, "1fb6f4a2d98d8f84", "db8b4c09c628933d");
+  expect_digests("fig10_churn", 2, "c4c7421858ef5953", "db8b4c09c628933d");
 }
 
 TEST(spec_equivalence, fig7_bandwidth) {
-  expect_digests("fig7_bandwidth", 1, "c4faf8728bb8168d",
+  expect_digests("fig7_bandwidth", 1, "511e27a11f522050",
                  "3648838fdc7bb171");
 }
 
 TEST(spec_equivalence, ablation_protocols) {
-  expect_digests("ablation_protocols", 1, "e627b035398f467d",
+  expect_digests("ablation_protocols", 1, "214a3697041df588",
                  "91630b4822366f83");
 }
 
 TEST(spec_equivalence, ablation_ttl) {
-  expect_digests("ablation_ttl", 1, "5a12b6a2a01018a6",
+  expect_digests("ablation_ttl", 1, "45153d19d75c97c7",
                  "975829d593abf498");
 }
 
-/// fig8/fig9 were ported in the probe-taxonomy revision: stdout AND
-/// BENCH-json digests captured by running the legacy
-/// bench_fig8_load_balance / bench_fig9_rvp_chain binaries at these
-/// exact options (n=120, rounds=20, seeds=2, seed=1, serial) and
-/// verified byte-identical against the specs before the binaries were
-/// retired. fig8 exercises the per_class probe + probes-mode ratio
-/// entry, fig9 the distribution probe's "mean" stat in sweep columns.
+/// fig8 exercises the per_class probe + probes-mode ratio entry, fig9
+/// the distribution probe's "mean" stat in sweep columns.
 TEST(spec_equivalence, fig8_load_balance) {
-  expect_digests("fig8_load_balance", 2, "33abb627f37bf638",
+  expect_digests("fig8_load_balance", 2, "77a1cfd418957e4d",
                  "1939ec24e69a91f3");
 }
 
 TEST(spec_equivalence, fig9_rvp_chain) {
-  expect_digests("fig9_rvp_chain", 2, "8a4321d142873f81",
+  expect_digests("fig9_rvp_chain", 2, "9d4f32832f2abcdc",
                  "d3d55c31dc624f10");
 }
 
-/// table1/sec5: the legacy binaries printed stdout only (no --json), so
-/// the stdout digests come from the pre-port binaries while the JSON
-/// digests pin the spec's own first emission (table + check verdicts) —
-/// a regression pin, not a legacy-equivalence pin. table1 is a static
-/// spec (no simulation; '%' NAT-type axes into the check probe), sec5 a
-/// single_seed spec (one run at the raw base seed, the legacy §5 form).
+/// table1 is a static spec (no simulation; '%' NAT-type axes into the
+/// check probe) with a literal preamble; sec5 a single_seed spec (one
+/// derived seed per cell) whose JSON carries the check verdicts.
 TEST(spec_equivalence, table1_traversal) {
   expect_digests("table1_traversal", 1, "4beb3f6541c5c902",
                  "97751492b8e4aec0");
 }
 
 TEST(spec_equivalence, sec5_correctness) {
-  expect_digests("sec5_correctness", 1, "df6280e4e16c37ac",
-                 "ea904954e3a7f104");
+  expect_digests("sec5_correctness", 1, "8bbe2b2a013125eb",
+                 "5592111881d81cd5");
 }
 
 /// The multi-seed parallel path must not change a single byte either.

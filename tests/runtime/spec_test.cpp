@@ -654,54 +654,76 @@ TEST(experiment_spec, checks_emit_verdicts_and_exit_status) {
   EXPECT_EQ(doc.dump_string(0), doc2.dump_string(0));
 }
 
-TEST(experiment_spec, single_seed_runs_at_the_raw_base_seed) {
-  // The legacy §5 form: one run per cell at cfg.seed = opt.seed, no
-  // derive_seed. --seeds must not change a byte.
-  const char* text = R"({
-    "name": "raw_seed", "title": "single seed",
+TEST(experiment_spec, single_seed_runs_one_derived_seed) {
+  // One run per cell at derive_seed(seed, 0): --seeds must not change a
+  // byte, and the preamble echoes the one seed that ran.
+  const experiment_spec spec = parse(R"({
+    "name": "one_seed", "title": "single seed",
     "single_seed": true,
     "rows": [{"axis": "natted_pct", "header": "%NAT", "values": [30]}],
     "probes": [{"probe": "stale_pct", "header": "stale %", "precision": 4}]
-  })";
-  const experiment_spec spec = parse(text);
+  })");
   spec_options opt;
   opt.peers = 50;
   opt.rounds = 6;
   opt.seed = 42;
   opt.threads = 1;
   std::ostringstream one;
-  (void)run_spec(spec, opt, one);
+  const util::json doc_one = run_spec(spec, opt, one);
   opt.seeds = 7;  // ignored by single_seed
   std::ostringstream many;
-  (void)run_spec(spec, opt, many);
-  // Only the preamble's "seeds=" echo may differ.
-  const auto body = [](const std::string& s) {
-    return s.substr(s.find('\n', s.find("seeds=")));
-  };
-  EXPECT_EQ(body(one.str()), body(many.str()));
+  const util::json doc_many = run_spec(spec, opt, many);
+  EXPECT_EQ(one.str(), many.str());
+  EXPECT_EQ(doc_one.dump_string(0), doc_many.dump_string(0));
+  EXPECT_NE(one.str().find(" seeds=1 "), std::string::npos);
 
-  // And the value really is the raw-seed run's measurement.
-  experiment_config cfg;
-  cfg.peer_count = 50;
-  cfg.gossip.view_size = 8;
-  cfg.natted_fraction = 0.3;
-  cfg.seed = 42;
-  scenario world(cfg);
-  world.run_periods(6);
-  const metrics::reachability_oracle oracle = world.oracle();
-  const metrics::probe_context ctx{world, oracle, 0};
-  const double expected =
-      metrics::find_probe("stale_pct")->run(ctx).scalar;
-  const util::json doc = [&] {
-    std::ostringstream sink;
-    return run_spec(spec, opt, sink);
-  }();
-  const std::string cell = doc.at("table")
-                               .at("rows")
-                               .at(std::size_t{0})
-                               .at(std::size_t{1})
-                               .as_string();
-  EXPECT_NEAR(std::stod(cell), expected, 1e-4);
+  // It is the ordinary runner path: the same spec without single_seed,
+  // run at --seeds 1, gives the identical result.
+  experiment_spec plain = spec;
+  plain.single_seed = false;
+  opt.seeds = 1;
+  std::ostringstream plain_out;
+  const util::json doc_plain = run_spec(plain, opt, plain_out);
+  EXPECT_EQ(plain_out.str(), one.str());
+  EXPECT_EQ(doc_plain.dump_string(0), doc_one.dump_string(0));
+}
+
+TEST(experiment_spec, trajectory_only_capture_matches_the_combined_form) {
+  // A trajectories-only spec (no checks, no timeline) records one
+  // trajectory per seed — an array of snapshot objects — exactly as it
+  // does when a timeline rides along in the same per-seed capture.
+  const char* text = R"({
+    "name": "traj_only",
+    "rows": [{"axis": "natted_pct", "header": "%NAT", "values": [40]}],
+    "probes": [{"probe": "alive_count", "precision": 0}],
+    "workload": {"phases": [{"kind": "steady", "periods": 3},
+                            {"kind": "mass_departure", "fraction": 0.3},
+                            {"kind": "steady", "periods": 2}]},
+    "trajectories": true
+  })";
+  spec_options opt;
+  opt.peers = 30;
+  opt.rounds = 2;
+  opt.seeds = 2;
+  opt.threads = 1;
+  std::ostringstream out;
+  const util::json doc = run_spec(parse(text), opt, out);
+  ASSERT_NE(doc.find("trajectories"), nullptr);
+  const util::json& series = doc.at("trajectories");
+  ASSERT_EQ(series.size(), 1u);  // one row
+  const util::json& per_seed = series.at(std::size_t{0}).at("per_seed");
+  ASSERT_EQ(per_seed.size(), 2u);  // one trajectory per seed
+  for (const util::json& trajectory : per_seed.array_items()) {
+    ASSERT_TRUE(trajectory.is_array());
+    ASSERT_GT(trajectory.size(), 0u);
+    EXPECT_NE(trajectory.at(std::size_t{0}).find("alive"), nullptr);
+  }
+
+  spec_options tl_opt = opt;
+  tl_opt.timeline = true;
+  std::ostringstream tl_out;
+  const util::json tl_doc = run_spec(parse(text), tl_opt, tl_out);
+  EXPECT_EQ(tl_doc.at("trajectories").dump_string(0), series.dump_string(0));
 }
 
 TEST(experiment_spec, profiles_select_override_and_yield_to_explicit_flags) {

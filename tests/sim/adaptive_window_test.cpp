@@ -1,6 +1,6 @@
 // Adaptive conservative windows: epoch-width computation, lookahead
 // providers, empty-shard striding, the latency-class API the lookahead
-// is built from — and engine-level equality against static windows.
+// is built from — and engine-level replay equality across epoch cuts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,29 +15,24 @@
 namespace nylon::sim {
 namespace {
 
-/// A quiet schedule under static windows pays one epoch per W: events at
-/// t = 0 and t = 10'000 with W = 10 cost ~1000 epochs. Adaptive strides
-/// straight from one event horizon to the next.
+/// Events at t = 0 and t = 10'000 with W = 10: a fixed W-sized stride
+/// would pay ~1000 epochs; the engine strides straight from one event
+/// horizon to the next.
 TEST(adaptive_window, quiet_stretches_collapse_into_few_epochs) {
-  shard_engine fixed(2, 10);
-  shard_engine adaptive(2, 10, window_mode::adaptive);
-  for (shard_engine* eng : {&fixed, &adaptive}) {
-    int fired = 0;
-    eng->shard_scheduler(0).at(0, [&fired] { ++fired; });
-    eng->shard_scheduler(1).at(10000, [&fired] { ++fired; });
-    eng->run_until(10000);
-    EXPECT_EQ(fired, 2);
-  }
-  EXPECT_GE(fixed.epochs(), 1000u);
-  EXPECT_LE(adaptive.epochs(), 4u);
-  EXPECT_GE(adaptive.epoch_width_max(), 9000);
-  EXPECT_GT(adaptive.epoch_width_mean(), fixed.epoch_width_mean());
+  shard_engine eng(2, 10);
+  int fired = 0;
+  eng.shard_scheduler(0).at(0, [&fired] { ++fired; });
+  eng.shard_scheduler(1).at(10000, [&fired] { ++fired; });
+  eng.run_until(10000);
+  EXPECT_EQ(fired, 2);
+  EXPECT_LE(eng.epochs(), 4u);
+  EXPECT_GE(eng.epoch_width_max(), 9000);
 }
 
-/// With no events at all, one adaptive epoch crosses the whole span
+/// With no events at all, one epoch crosses the whole span
 /// (t_min = never >= bound), shards empty or not.
 TEST(adaptive_window, empty_shards_cross_in_one_epoch) {
-  shard_engine eng(3, 5, window_mode::adaptive);
+  shard_engine eng(3, 5);
   eng.run_until(100000);
   EXPECT_EQ(eng.now(), 100000);
   EXPECT_EQ(eng.epochs(), 1u);
@@ -45,12 +40,12 @@ TEST(adaptive_window, empty_shards_cross_in_one_epoch) {
   EXPECT_EQ(eng.events_executed(), 0u);
 }
 
-/// The lookahead provider widens each stride beyond the static floor:
+/// The lookahead provider widens each stride beyond the floor W:
 /// with events every 20 ms, W = 1 and lookahead L = 50, each epoch spans
 /// t_min + 50 and so covers multiple event times.
 TEST(adaptive_window, lookahead_provider_widens_epochs) {
-  shard_engine narrow(2, 1, window_mode::adaptive);
-  shard_engine wide(2, 1, window_mode::adaptive, [] { return sim_time{50}; });
+  shard_engine narrow(2, 1);
+  shard_engine wide(2, 1, [] { return sim_time{50}; });
   for (shard_engine* eng : {&narrow, &wide}) {
     int fired = 0;
     for (sim_time t = 0; t <= 200; t += 20) {
@@ -65,21 +60,23 @@ TEST(adaptive_window, lookahead_provider_widens_epochs) {
   EXPECT_GE(wide.epoch_width_max(), 50);
 }
 
-/// Identical posts through both policies: the staged lane makes the
-/// delivery stream equal even though the adaptive run crosses in far
-/// fewer epochs and drains several sends at one barrier.
+/// Identical posts under two lookaheads: the staged lane makes the
+/// delivery stream equal even though the wide run crosses in fewer
+/// epochs and drains several sends at one barrier.
 TEST(adaptive_window, cross_shard_posts_replay_identically) {
-  std::vector<std::int64_t> log_static;
-  std::vector<std::int64_t> log_adaptive;
-  std::uint64_t epochs_static = 0;
-  std::uint64_t epochs_adaptive = 0;
-  for (const window_mode mode :
-       {window_mode::static_window, window_mode::adaptive}) {
-    auto* log = mode == window_mode::adaptive ? &log_adaptive : &log_static;
-    shard_engine eng(2, 10, mode);
+  std::vector<std::int64_t> log_narrow;
+  std::vector<std::int64_t> log_wide;
+  std::uint64_t epochs_narrow = 0;
+  std::uint64_t epochs_wide = 0;
+  for (const bool wide : {false, true}) {
+    auto* log = wide ? &log_wide : &log_narrow;
+    shard_engine::lookahead_fn look;
+    if (wide) look = [] { return sim_time{50}; };
+    shard_engine eng(2, 10, look);
     // Shard 0 emits a burst of cross-shard sends, all landing at the
-    // same destination time from distinct send times — under static
-    // windows they arrive over several drains, under adaptive in one.
+    // same destination time from distinct send times — with the bare
+    // 10 ms floor they arrive over several drains, with a 50 ms
+    // lookahead in one.
     for (sim_time t = 0; t <= 40; t += 10) {
       eng.shard_scheduler(0).at(t, [&eng, t, log] {
         eng.post(0, 1, 100, 7, static_cast<std::uint64_t>(t),
@@ -90,17 +87,16 @@ TEST(adaptive_window, cross_shard_posts_replay_identically) {
     }
     eng.run_until(300);
     EXPECT_EQ(eng.events_executed(), 15u);
-    (mode == window_mode::adaptive ? epochs_adaptive : epochs_static) =
-        eng.epochs();
+    (wide ? epochs_wide : epochs_narrow) = eng.epochs();
   }
-  EXPECT_EQ(log_adaptive, log_static);
-  EXPECT_LT(epochs_adaptive, epochs_static);
+  EXPECT_EQ(log_wide, log_narrow);
+  EXPECT_LT(epochs_wide, epochs_narrow);
 }
 
 /// completed_through never passes the earliest still-running epoch start:
 /// it is the floor the payload-lease sweep reclaims against.
 TEST(adaptive_window, completed_through_trails_the_clock) {
-  shard_engine eng(2, 10, window_mode::adaptive);
+  shard_engine eng(2, 10);
   EXPECT_EQ(eng.completed_through(), -1);
   int fired = 0;
   eng.shard_scheduler(0).at(500, [&fired] { ++fired; });

@@ -1,9 +1,7 @@
-// Bulk-insert and staging-lane semantics of event_queue:
-//  * push_sorted_batch is exactly N individual pushes (same pop order,
-//    same times, same executed count) minus the per-event bucket lookup;
-//  * stage_sorted's lane interleaves with the queue in timestamp order,
-//    queue first at ties, canonical (at, order_a, order_b) order within
-//    the lane regardless of how many stagings delivered the events.
+// Staging-lane semantics of event_queue: stage_sorted's lane interleaves
+// with the queue in timestamp order, queue first at ties, canonical
+// (at, order_a, order_b) order within the lane regardless of how many
+// stagings delivered the events.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -23,68 +21,6 @@ staged_event ev(sim_time at, std::uint64_t a, std::uint64_t b,
   e.order_b = b;
   e.fn = [log, tag = std::move(tag)] { log->push_back(tag); };
   return e;
-}
-
-TEST(event_queue_batch, batch_matches_individual_pushes) {
-  std::vector<std::string> log_single;
-  std::vector<std::string> log_batch;
-
-  // Duplicate timestamps on purpose: within a time, batch order must be
-  // the FIFO order, exactly like repeated push() calls.
-  const std::vector<sim_time> times = {5, 5, 7, 7, 7, 9, 12, 12};
-
-  event_queue single;
-  for (std::size_t i = 0; i < times.size(); ++i) {
-    single.push(times[i], [&log_single, i] {
-      log_single.push_back("e" + std::to_string(i));
-    });
-  }
-
-  event_queue batched;
-  std::vector<staged_event> batch;
-  for (std::size_t i = 0; i < times.size(); ++i) {
-    batch.push_back(
-        ev(times[i], 0, 0, &log_batch, "e" + std::to_string(i)));
-  }
-  batched.push_sorted_batch(batch);
-  EXPECT_TRUE(batch.empty());  // consumed, ready for recycling
-
-  std::vector<sim_time> pops_single;
-  std::vector<sim_time> pops_batch;
-  while (!single.empty()) pops_single.push_back(single.pop_and_run());
-  while (!batched.empty()) pops_batch.push_back(batched.pop_and_run());
-
-  EXPECT_EQ(pops_batch, pops_single);
-  EXPECT_EQ(log_batch, log_single);
-  EXPECT_EQ(batched.executed(), single.executed());
-}
-
-TEST(event_queue_batch, batch_appends_fifo_after_existing_events) {
-  std::vector<std::string> log;
-  event_queue q;
-  q.push(5, [&log] { log.push_back("old@5"); });
-  q.push(9, [&log] { log.push_back("old@9"); });
-
-  std::vector<staged_event> batch;
-  batch.push_back(ev(5, 0, 0, &log, "new@5"));
-  batch.push_back(ev(7, 0, 0, &log, "new@7"));
-  batch.push_back(ev(9, 0, 0, &log, "new@9"));
-  q.push_sorted_batch(batch);
-
-  while (!q.empty()) q.pop_and_run();
-  // Same-timestamp events run in insertion order: existing first.
-  const std::vector<std::string> want = {"old@5", "new@5", "new@7", "old@9",
-                                         "new@9"};
-  EXPECT_EQ(log, want);
-}
-
-TEST(event_queue_batch, unsorted_batch_is_a_contract_violation) {
-  std::vector<std::string> log;
-  event_queue q;
-  std::vector<staged_event> batch;
-  batch.push_back(ev(9, 0, 0, &log, "a"));
-  batch.push_back(ev(5, 0, 0, &log, "b"));  // time went backwards
-  EXPECT_THROW(q.push_sorted_batch(batch), nylon::contract_error);
 }
 
 TEST(event_queue_batch, lane_interleaves_with_queue_local_first_at_ties) {

@@ -123,20 +123,27 @@ TEST(shard_engine, run_until_now_executes_events_at_the_barrier) {
 
 TEST(shard_engine, shards_advance_in_lockstep_epochs) {
   shard_engine engine(2, /*window=*/10);
-  std::vector<sim_time> other_clock_at_delivery;
-  // A ping-pong across shards: each delivery posts the next one. The
-  // conservative window guarantees the peer shard's clock is never more
-  // than one window behind the delivery time.
+  std::vector<sim_time> clock_at_delivery;
+  std::vector<sim_time> completed_at_delivery;
+  // A ping-pong across shards: each delivery posts the next one, so the
+  // reply can only run in a later epoch, after every shard has finished
+  // the epoch that produced it. Each callback reads only its own shard's
+  // clock plus the engine's globally completed floor (an atomic, safe to
+  // read mid-epoch).
   engine.post(0, 1, 11, 0, 0, [&] {
-    other_clock_at_delivery.push_back(engine.shard_scheduler(0).now());
+    clock_at_delivery.push_back(engine.shard_scheduler(1).now());
+    completed_at_delivery.push_back(engine.completed_through());
     engine.post(1, 0, 22, 0, 0, [&] {
-      other_clock_at_delivery.push_back(engine.shard_scheduler(1).now());
+      clock_at_delivery.push_back(engine.shard_scheduler(0).now());
+      completed_at_delivery.push_back(engine.completed_through());
     });
   });
   engine.run_until(40);
-  ASSERT_EQ(other_clock_at_delivery.size(), 2u);
-  EXPECT_GE(other_clock_at_delivery[0], 11 - 10);
-  EXPECT_GE(other_clock_at_delivery[1], 22 - 10);
+  EXPECT_EQ(clock_at_delivery, (std::vector<sim_time>{11, 22}));
+  ASSERT_EQ(completed_at_delivery.size(), 2u);
+  EXPECT_LT(completed_at_delivery[0], 11);
+  EXPECT_GE(completed_at_delivery[1], 11);  // the ping's epoch completed
+  EXPECT_LT(completed_at_delivery[1], 22);
   EXPECT_EQ(engine.now(), 40);
 }
 
