@@ -54,9 +54,6 @@ int main(int argc, char** argv) {
   const auto* udp_time_scale = flags.add_double(
       "udp-time-scale", 0.0,
       "udp pacing in wall seconds per simulated second (0 = default 0.02)");
-  const auto* trajectories = flags.add_bool(
-      "trajectories", false,
-      "record per-seed workload trajectories into the JSON report");
   const auto* timeline = flags.add_bool(
       "timeline", false,
       "record the sim-time health timeline even when the spec has no "
@@ -187,7 +184,6 @@ int main(int argc, char** argv) {
   opt.json = *json;
   opt.transport = *transport;
   opt.udp_time_scale = *udp_time_scale;
-  opt.trajectories = *trajectories;
   opt.timeline = *timeline || *timeline_period > 0 || !timeline_csv->empty();
   opt.timeline_period_s = *timeline_period;
   opt.timeline_csv = *timeline_csv;

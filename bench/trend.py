@@ -52,7 +52,7 @@ def load_rows(path):
     """Parses one BENCH_scale document into a list of rows — one per
     sweep entry for sweep documents, a single row otherwise. Returns []
     (with a warning) for other BENCH_*.json forms — spec reports carry
-    tables/cells/checks/distributions (and, with --timeline, per-seed
+    tables/cells/checks/trajectories (and, with --timeline, per-seed
     "timeline" time-series) instead of scale results and must not break
     the gate."""
     try:

@@ -92,22 +92,11 @@ std::vector<seed_aggregate> run_seeds_multi(
     int seed_count, std::uint64_t base_seed, std::size_t metric_count,
     const std::function<std::vector<double>(std::uint64_t seed)>& experiment,
     run_options opt) {
-  NYLON_EXPECTS(seed_count > 0);
-  NYLON_EXPECTS(metric_count > 0);
-  std::vector<seed_aggregate> out(metric_count);
-  for (seed_aggregate& agg : out) {
-    agg.values.resize(static_cast<std::size_t>(seed_count));
-  }
-  for_each_index(seed_count, resolve_threads(opt, seed_count), [&](int i) {
-    const std::vector<double> metrics =
-        experiment(util::derive_seed(base_seed, static_cast<std::uint64_t>(i)));
-    NYLON_EXPECTS(metrics.size() == metric_count);
-    for (std::size_t m = 0; m < metric_count; ++m) {
-      out[m].values[static_cast<std::size_t>(i)] = metrics[m];
-    }
-  });
-  for (seed_aggregate& agg : out) agg.stats = util::summarize(agg.values);
-  return out;
+  return run_seeds_multi_captured(
+             seed_count, base_seed, metric_count,
+             [&](std::uint64_t seed, util::json&) { return experiment(seed); },
+             opt)
+      .aggregates;
 }
 
 multi_seed_result run_seeds_multi_captured(

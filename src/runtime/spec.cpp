@@ -86,6 +86,19 @@ std::size_t count_token(const std::string& key, const std::string& token,
   return static_cast<std::size_t>(v);
 }
 
+/// The value named by `token` among a key's symbolic options.
+template <typename T>
+T choose(const std::string& key, const std::string& token,
+         std::initializer_list<std::pair<std::string_view, T>> options) {
+  std::string names;
+  for (const auto& [name, value] : options) {
+    if (token == name) return value;
+    names += names.empty() ? "" : " | ";
+    names += name;
+  }
+  bad("unknown " + key + " \"" + token + "\" (" + names + ")");
+}
+
 /// Applies one key=value override to a config and returns the table
 /// label of the value ("nylon", "40", "pushpull,rand,healer", ...).
 std::string apply_setting(experiment_config& cfg, const std::string& key,
@@ -123,57 +136,39 @@ std::string apply_setting(experiment_config& cfg, const std::string& key,
     return gossip::config_label(cfg.gossip);
   }
   if (key == "protocol") {
-    if (token == "reference") {
-      cfg.protocol = core::protocol_kind::reference;
-    } else if (token == "nylon") {
-      cfg.protocol = core::protocol_kind::nylon;
-    } else if (token == "arrg") {
-      cfg.protocol = core::protocol_kind::arrg;
-    } else {
-      bad("unknown protocol \"" + token + "\" (reference | nylon | arrg)");
-    }
+    cfg.protocol = choose<core::protocol_kind>(
+        key, token,
+        {{"reference", core::protocol_kind::reference},
+         {"nylon", core::protocol_kind::nylon},
+         {"arrg", core::protocol_kind::arrg}});
     return token;
   }
   if (key == "mix") {
-    if (token == "paper") {
-      cfg.mix = nat::paper_mix();
-    } else if (token == "prc_only") {
-      cfg.mix = nat::prc_only_mix();
-    } else {
-      bad("unknown mix \"" + token + "\" (paper | prc_only)");
-    }
+    cfg.mix = choose<nat::nat_mix>(key, token,
+                                   {{"paper", nat::paper_mix()},
+                                    {"prc_only", nat::prc_only_mix()}});
     return token;
   }
   if (key == "selection") {
-    if (token == "rand") {
-      cfg.gossip.selection = gossip::selection_policy::rand;
-    } else if (token == "tail") {
-      cfg.gossip.selection = gossip::selection_policy::tail;
-    } else {
-      bad("unknown selection \"" + token + "\" (rand | tail)");
-    }
+    cfg.gossip.selection = choose<gossip::selection_policy>(
+        key, token,
+        {{"rand", gossip::selection_policy::rand},
+         {"tail", gossip::selection_policy::tail}});
     return token;
   }
   if (key == "propagation") {
-    if (token == "push") {
-      cfg.gossip.propagation = gossip::propagation_policy::push;
-    } else if (token == "pushpull") {
-      cfg.gossip.propagation = gossip::propagation_policy::pushpull;
-    } else {
-      bad("unknown propagation \"" + token + "\" (push | pushpull)");
-    }
+    cfg.gossip.propagation = choose<gossip::propagation_policy>(
+        key, token,
+        {{"push", gossip::propagation_policy::push},
+         {"pushpull", gossip::propagation_policy::pushpull}});
     return token;
   }
   if (key == "merge") {
-    if (token == "blind") {
-      cfg.gossip.merge = gossip::merge_policy::blind;
-    } else if (token == "healer") {
-      cfg.gossip.merge = gossip::merge_policy::healer;
-    } else if (token == "swapper") {
-      cfg.gossip.merge = gossip::merge_policy::swapper;
-    } else {
-      bad("unknown merge \"" + token + "\" (blind | healer | swapper)");
-    }
+    cfg.gossip.merge = choose<gossip::merge_policy>(
+        key, token,
+        {{"blind", gossip::merge_policy::blind},
+         {"healer", gossip::merge_policy::healer},
+         {"swapper", gossip::merge_policy::swapper}});
     return token;
   }
   if (key == "shuffle_period_s") {
@@ -190,16 +185,11 @@ std::string apply_setting(experiment_config& cfg, const std::string& key,
     return token;
   }
   if (key == "latency_model") {
-    if (token == "fixed") {
-      cfg.latency_model = experiment_config::latency_kind::fixed;
-    } else if (token == "uniform") {
-      cfg.latency_model = experiment_config::latency_kind::uniform;
-    } else if (token == "lognormal") {
-      cfg.latency_model = experiment_config::latency_kind::lognormal;
-    } else {
-      bad("unknown latency_model \"" + token +
-          "\" (fixed | uniform | lognormal)");
-    }
+    using kind = experiment_config::latency_kind;
+    cfg.latency_model = choose<kind>(key, token,
+                                     {{"fixed", kind::fixed},
+                                      {"uniform", kind::uniform},
+                                      {"lognormal", kind::lognormal}});
     return token;
   }
   if (key == "latency_ms") {
@@ -227,15 +217,11 @@ std::string apply_setting(experiment_config& cfg, const std::string& key,
     return token;
   }
   if (key == "transport") {
-    if (token == "sim") {
-      cfg.transport = transport_kind::sim;
-    } else if (token == "sim-frames") {
-      cfg.transport = transport_kind::sim_frames;
-    } else if (token == "udp") {
-      cfg.transport = transport_kind::udp;
-    } else {
-      bad("unknown transport \"" + token + "\" (sim | sim-frames | udp)");
-    }
+    cfg.transport = choose<transport_kind>(
+        key, token,
+        {{"sim", transport_kind::sim},
+         {"sim-frames", transport_kind::sim_frames},
+         {"udp", transport_kind::udp}});
     return token;
   }
   if (key == "udp_time_scale") {
@@ -457,7 +443,15 @@ int precision_from_json(const util::json& j) {
   return static_cast<int>(p->as_int());
 }
 
-std::string selector_part_from_json(const util::json& j, const char* key) {
+bool bool_from_json(const util::json& j, const char* key) {
+  const util::json* v = j.find(key);
+  if (v == nullptr) return false;
+  if (!v->is_bool()) bad(std::string("\"") + key + "\" must be a bool");
+  return v->as_bool();
+}
+
+/// The string at `key` ("" when absent).
+std::string string_from_json(const util::json& j, const char* key) {
   const util::json* v = j.find(key);
   if (v == nullptr) return {};
   if (!v->is_string()) {
@@ -466,168 +460,120 @@ std::string selector_part_from_json(const util::json& j, const char* key) {
   return v->as_string();
 }
 
-std::vector<spec_column> columns_from_json(const util::json& j) {
-  if (!j.is_array() || j.size() == 0) {
-    bad("\"columns\" must be a non-empty array");
-  }
-  std::vector<spec_column> out;
-  for (const util::json& c : j.array_items()) {
-    if (!c.is_object()) bad("column entries must be objects");
-
-    if (const util::json* sweep = c.find("sweep")) {
-      // Sugar: one column per swept value; "{}" in the header pattern
-      // becomes the value token.
-      ensure_keys(c,
-                  {"sweep", "header", "probe", "class", "stat", "set",
-                   "precision"},
-                  "sweep column");
-      const spec_axis axis = axis_from_json(*sweep, false, "column sweep");
-      const util::json* header = c.find("header");
-      const util::json* probe = c.find("probe");
-      if (header == nullptr || !header->is_string()) {
-        bad("sweep column needs a \"header\" pattern");
-      }
-      if (probe == nullptr || !probe->is_string()) {
-        bad("sweep column needs a \"probe\"");
-      }
-      for (const std::string& token : axis.values) {
-        spec_column col;
-        col.k = spec_column::kind::probe;
-        col.header = subst_braces(header->as_string(), token);
-        if (const util::json* set = c.find("set")) {
-          col.set = settings_from_json(*set, "column \"set\"");
-        }
-        col.set.emplace_back(axis.key, token);
-        col.probe = probe->as_string();
-        col.cls = selector_part_from_json(c, "class");
-        col.stat = selector_part_from_json(c, "stat");
-        col.precision = precision_from_json(c);
-        col.cell_key = axis.cell_key;
-        col.cell_token = token;
-        out.push_back(std::move(col));
-      }
-      continue;
-    }
-
-    spec_column col;
-    const util::json* header = c.find("header");
-    if (header == nullptr || !header->is_string()) {
-      bad("every column needs a \"header\"");
-    }
-    col.header = header->as_string();
-    col.precision = precision_from_json(c);
-
-    if (const util::json* ratio = c.find("ratio")) {
-      ensure_keys(c, {"header", "ratio", "precision"}, "ratio column");
-      if (!ratio->is_array() || ratio->size() != 2 ||
-          !ratio->at(std::size_t{0}).is_int() ||
-          !ratio->at(std::size_t{1}).is_int()) {
-        bad("\"ratio\" must be [numerator_index, denominator_index]");
-      }
-      col.k = spec_column::kind::ratio;
-      col.ratio_num = static_cast<int>(ratio->at(std::size_t{0}).as_int());
-      col.ratio_den = static_cast<int>(ratio->at(std::size_t{1}).as_int());
-    } else if (const util::json* rv = c.find("row_value")) {
-      ensure_keys(c, {"header", "row_value", "precision"}, "row_value column");
-      if (!rv->is_bool() || !rv->as_bool()) {
-        bad("\"row_value\" must be true when present");
-      }
-      col.k = spec_column::kind::row_value;
-    } else {
-      ensure_keys(c,
-                  {"header", "probe", "class", "stat", "set", "precision",
-                   "cell_key", "cell_value"},
-                  "probe column");
-      const util::json* probe = c.find("probe");
-      if (probe == nullptr || !probe->is_string()) {
-        bad("column \"" + col.header + "\" needs a \"probe\"");
-      }
-      col.k = spec_column::kind::probe;
-      col.probe = probe->as_string();
-      col.cls = selector_part_from_json(c, "class");
-      col.stat = selector_part_from_json(c, "stat");
-      if (const util::json* set = c.find("set")) {
-        col.set = settings_from_json(*set, "column \"set\"");
-      }
-      // The expanded (non-sweep) spelling of a cells-mode column.
-      if (const util::json* cell_key = c.find("cell_key")) {
-        if (!cell_key->is_string()) bad("\"cell_key\" must be a string");
-        col.cell_key = cell_key->as_string();
-        const util::json* cell_value = c.find("cell_value");
-        if (cell_value == nullptr) bad("\"cell_key\" needs a \"cell_value\"");
-        col.cell_token = token_of(*cell_value);
-      }
-    }
-    out.push_back(std::move(col));
+/// The string array at `key` (empty when absent).
+std::vector<std::string> strings_from_json(const util::json& j,
+                                           const char* key) {
+  std::vector<std::string> out;
+  const util::json* v = j.find(key);
+  if (v == nullptr) return out;
+  const auto reject = [key] {
+    bad(std::string("\"") + key + "\" must be an array of strings");
+  };
+  if (!v->is_array()) reject();
+  for (const util::json& item : v->array_items()) {
+    if (!item.is_string()) reject();
+    out.push_back(item.as_string());
   }
   return out;
 }
 
-std::vector<spec_probe> probes_from_json(const util::json& j) {
+/// Parses a "columns" (`shared` = false) or "probes" (`shared` = true)
+/// array. Both hold the same entries; only a per-column run may carry
+/// config overrides (`set`, or the `sweep` sugar that expands into one
+/// column per swept value, "{}" in the header becoming the value token).
+std::vector<spec_entry> entries_from_json(const util::json& j, bool shared) {
+  const char* what = shared ? "\"probes\"" : "\"columns\"";
   if (!j.is_array() || j.size() == 0) {
-    bad("\"probes\" must be a non-empty array");
+    bad(std::string(what) + " must be a non-empty array");
   }
-  std::vector<spec_probe> out;
-  for (const util::json& p : j.array_items()) {
-    spec_probe entry;
-    if (const util::json* ratio = p.find("ratio")) {
-      // Computed entry: a ratio of two earlier probe entries' means.
-      ensure_keys(p, {"header", "ratio", "precision"}, "ratio probe entry");
+  std::vector<spec_entry> out;
+  for (const util::json& c : j.array_items()) {
+    if (!c.is_object()) bad(std::string(what) + " entries must be objects");
+    spec_entry entry;
+    entry.precision = precision_from_json(c);
+    entry.header = string_from_json(c, "header");
+    const bool has_header = c.find("header") != nullptr;
+
+    if (const util::json* ratio = c.find("ratio")) {
+      ensure_keys(c, {"header", "ratio", "precision"}, "ratio entry");
       if (!ratio->is_array() || ratio->size() != 2 ||
           !ratio->at(std::size_t{0}).is_int() ||
           !ratio->at(std::size_t{1}).is_int()) {
         bad("\"ratio\" must be [numerator_index, denominator_index]");
       }
-      const util::json* header = p.find("header");
-      if (header == nullptr || !header->is_string()) {
-        bad("ratio probe entries need a \"header\"");
-      }
-      entry.header = header->as_string();
+      if (!has_header) bad("ratio entries need a \"header\"");
+      entry.k = spec_entry::kind::ratio;
       entry.ratio_num = static_cast<int>(ratio->at(std::size_t{0}).as_int());
       entry.ratio_den = static_cast<int>(ratio->at(std::size_t{1}).as_int());
-      entry.precision = precision_from_json(p);
       out.push_back(std::move(entry));
       continue;
     }
-    ensure_keys(p, {"probe", "header", "class", "stat", "precision"},
-                "probe entry");
-    const util::json* name = p.find("probe");
-    if (name == nullptr || !name->is_string()) {
+    if (const util::json* rv = c.find("row_value")) {
+      ensure_keys(c, {"header", "row_value", "precision"}, "row_value entry");
+      if (!rv->is_bool() || !rv->as_bool()) {
+        bad("\"row_value\" must be true when present");
+      }
+      if (!has_header) bad("row_value entries need a \"header\"");
+      entry.k = spec_entry::kind::row_value;
+      out.push_back(std::move(entry));
+      continue;
+    }
+
+    if (shared) {
+      ensure_keys(c, {"probe", "header", "class", "stat", "precision"},
+                  "probe entry");
+    } else {
+      ensure_keys(c,
+                  {"sweep", "probe", "header", "class", "stat", "set",
+                   "precision"},
+                  "probe column");
+    }
+    const util::json* probe = c.find("probe");
+    if (probe == nullptr || !probe->is_string()) {
       bad("probe entries need a \"probe\" name");
     }
-    entry.probe = name->as_string();
-    const util::json* header = p.find("header");
-    entry.header = header != nullptr && header->is_string()
-                       ? header->as_string()
-                       : entry.probe;
-    entry.cls = selector_part_from_json(p, "class");
-    entry.stat = selector_part_from_json(p, "stat");
-    entry.precision = precision_from_json(p);
-    out.push_back(std::move(entry));
+    entry.probe = probe->as_string();
+    if (!has_header) entry.header = entry.probe;
+    entry.cls = string_from_json(c, "class");
+    entry.stat = string_from_json(c, "stat");
+    if (const util::json* set = c.find("set")) {
+      entry.set = settings_from_json(*set, "column \"set\"");
+    }
+    const util::json* sweep = c.find("sweep");
+    if (sweep == nullptr) {
+      out.push_back(std::move(entry));
+      continue;
+    }
+    if (!has_header) bad("sweep column needs a \"header\" pattern");
+    const spec_axis axis = axis_from_json(*sweep, false, "column sweep");
+    for (const std::string& token : axis.values) {
+      spec_entry col = entry;
+      col.header = subst_braces(entry.header, token);
+      col.set.emplace_back(axis.key, token);
+      col.cell_key = axis.cell_key;
+      col.cell_token = token;
+      out.push_back(std::move(col));
+    }
   }
   return out;
 }
 
-std::vector<spec_check> checks_from_json(const util::json& j) {
+std::vector<spec_entry> checks_from_json(const util::json& j) {
   if (!j.is_array() || j.size() == 0) {
     bad("\"checks\" must be a non-empty array");
   }
-  std::vector<spec_check> out;
+  std::vector<spec_entry> out;
   for (const util::json& c : j.array_items()) {
     if (!c.is_object()) bad("check entries must be objects");
     ensure_keys(c, {"probe", "name"}, "check entry");
-    spec_check entry;
+    spec_entry entry;
     const util::json* probe = c.find("probe");
     if (probe == nullptr || !probe->is_string()) {
       bad("check entries need a \"probe\" name");
     }
     entry.probe = probe->as_string();
-    if (const util::json* name = c.find("name")) {
-      if (!name->is_string()) bad("check \"name\" must be a string");
-      entry.name = name->as_string();
-    } else {
-      entry.name = entry.probe;
-    }
+    entry.header = string_from_json(c, "name");
+    if (entry.header.empty()) entry.header = entry.probe;
     out.push_back(std::move(entry));
   }
   return out;
@@ -748,11 +694,7 @@ void experiment_spec::validate() const {
     bad("\"preamble\" replaces the standard preamble; drop \"title\"");
   }
   if (rows.empty()) bad("at least one row axis is required");
-  const bool has_columns = !columns.empty();
-  const bool has_probes = !probes.empty();
-  if (has_columns == has_probes) {
-    bad("exactly one of \"columns\" / \"probes\" is required");
-  }
+  if (columns.empty()) bad("at least one column is required");
 
   // Dry-run every override against a scratch config with default driver
   // options: catches unknown keys and malformed tokens up front.
@@ -801,83 +743,54 @@ void experiment_spec::validate() const {
   // A probe reference is either a plain scalar-view selector (validated
   // by metrics::resolve_selector, which owns the misuse messages) or a
   // check probe, which renders verdict cells and is only legal in a
-  // static spec's columns/probes or the "checks" list.
-  const auto check_probe_ref = [&](const std::string& probe_name,
-                                   const std::string& cls,
-                                   const std::string& stat,
-                                   const char* where) {
-    const metrics::probe* p = metrics::find_probe(probe_name);
-    if (p == nullptr) bad("unknown probe \"" + probe_name + "\"");
-    if (static_eval && p->needs_world) {
-      bad("probe \"" + probe_name +
-          "\" needs a simulated world; it cannot run in a \"static\" spec");
-    }
-    if (p->kind == metrics::probe_kind::check) {
-      if (!static_eval) {
-        bad("check probe \"" + probe_name + "\" in " + where +
-            " needs a \"static\" spec or the \"checks\" list");
-      }
-      if (!cls.empty() || !stat.empty()) {
-        bad("check probe \"" + probe_name +
-            "\" takes neither \"class\" nor \"stat\"");
-      }
-      return;
-    }
-    (void)metrics::resolve_selector(probe_name, cls, stat);
-  };
-
+  // static spec's columns or the "checks" list.
+  bool has_check_cells = !checks.empty();
   for (std::size_t j = 0; j < columns.size(); ++j) {
-    const spec_column& col = columns[j];
-    switch (col.k) {
-      case spec_column::kind::probe: {
-        check_probe_ref(col.probe, col.cls, col.stat, "\"columns\"");
-        experiment_config cfg = scratch;
-        for (const auto& [key, token] : col.set) {
-          check_setting(cfg, key, token);
-        }
-        break;
-      }
-      case spec_column::kind::ratio: {
-        if (static_eval) {
-          bad("ratio columns need seed aggregates; they cannot run in a "
-              "\"static\" spec");
-        }
-        const auto in_range = [&](int i) {
-          return i >= 0 && static_cast<std::size_t>(i) < j &&
-                 columns[static_cast<std::size_t>(i)].k ==
-                     spec_column::kind::probe;
-        };
-        if (!in_range(col.ratio_num) || !in_range(col.ratio_den)) {
-          bad("ratio column \"" + col.header +
-              "\" must reference earlier probe columns");
-        }
-        break;
-      }
-      case spec_column::kind::row_value:
-        break;
-    }
-  }
-  for (std::size_t j = 0; j < probes.size(); ++j) {
-    const spec_probe& p = probes[j];
-    if (p.ratio_num >= 0 || p.ratio_den >= 0) {
+    const spec_entry& col = columns[j];
+    if (col.k == spec_entry::kind::ratio) {
       if (static_eval) {
-        bad("ratio probe entries need seed aggregates; they cannot run in "
-            "a \"static\" spec");
+        bad("ratio columns need seed aggregates; they cannot run in a "
+            "\"static\" spec");
       }
       const auto in_range = [&](int i) {
         return i >= 0 && static_cast<std::size_t>(i) < j &&
-               probes[static_cast<std::size_t>(i)].ratio_num < 0;
+               columns[static_cast<std::size_t>(i)].k ==
+                   spec_entry::kind::probe;
       };
-      if (!in_range(p.ratio_num) || !in_range(p.ratio_den)) {
-        bad("ratio probe entry \"" + p.header +
-            "\" must reference earlier probe entries");
+      if (!in_range(col.ratio_num) || !in_range(col.ratio_den)) {
+        bad("ratio column \"" + col.header +
+            "\" must reference earlier probe columns");
       }
+    }
+    if (col.k != spec_entry::kind::probe) continue;
+    if (shared_run && !col.set.empty()) {
+      bad("column \"" + col.header +
+          "\" sets config, but \"probes\" share one run per row");
+    }
+    experiment_config cfg = scratch;
+    for (const auto& [key, token] : col.set) check_setting(cfg, key, token);
+    const metrics::probe* p = metrics::find_probe(col.probe);
+    if (p == nullptr) bad("unknown probe \"" + col.probe + "\"");
+    if (static_eval && p->needs_world) {
+      bad("probe \"" + col.probe +
+          "\" needs a simulated world; it cannot run in a \"static\" spec");
+    }
+    if (p->kind != metrics::probe_kind::check) {
+      (void)metrics::resolve_selector(col.probe, col.cls, col.stat);
       continue;
     }
-    check_probe_ref(p.probe, p.cls, p.stat, "\"probes\"");
+    if (!static_eval) {
+      bad("check probe \"" + col.probe +
+          "\" in a column needs a \"static\" spec or the \"checks\" list");
+    }
+    if (!col.cls.empty() || !col.stat.empty()) {
+      bad("check probe \"" + col.probe +
+          "\" takes neither \"class\" nor \"stat\"");
+    }
+    has_check_cells = true;
   }
 
-  for (const spec_check& c : checks) {
+  for (const spec_entry& c : checks) {
     const metrics::probe* p = metrics::find_probe(c.probe);
     if (p == nullptr) bad("unknown check probe \"" + c.probe + "\"");
     if (p->kind != metrics::probe_kind::check) {
@@ -888,55 +801,27 @@ void experiment_spec::validate() const {
   }
   if (!checks.empty()) {
     if (static_eval) {
-      bad("a static spec carries its checks as columns/probes; drop the "
+      bad("a static spec carries its checks as columns; drop the "
           "\"checks\" list");
     }
-    if (probes.empty()) {
-      bad("\"checks\" ride the shared run of \"probes\" mode");
-    }
+    if (!shared_run) bad("\"checks\" ride the shared run of \"probes\" mode");
   }
-  if (verdict.has_value()) {
-    bool has_check_cells = !checks.empty();
-    if (static_eval) {
-      for (const spec_column& col : columns) {
-        if (col.k != spec_column::kind::probe) continue;
-        const metrics::probe* p = metrics::find_probe(col.probe);
-        has_check_cells = has_check_cells ||
-                          (p != nullptr &&
-                           p->kind == metrics::probe_kind::check);
-      }
-      for (const spec_probe& p : probes) {
-        const metrics::probe* probe = metrics::find_probe(p.probe);
-        has_check_cells = has_check_cells ||
-                          (probe != nullptr &&
-                           probe->kind == metrics::probe_kind::check);
-      }
-    }
-    if (!has_check_cells) {
-      bad("\"verdict\" needs check probes (a \"checks\" list or check "
-          "columns in a static spec)");
-    }
+  if (verdict.has_value() && !has_check_cells) {
+    bad("\"verdict\" needs check probes (a \"checks\" list or check "
+        "columns in a static spec)");
   }
 
   if (static_eval) {
     if (workload.has_value()) bad("a \"static\" spec cannot have a workload");
     if (!warmup.empty()) bad("a \"static\" spec cannot have a warmup");
     if (cells) bad("\"cells\" needs seed aggregates (non-static specs)");
-    if (trajectories) bad("\"trajectories\" requires a \"workload\"");
     if (single_seed) {
       bad("\"single_seed\" is meaningless in a \"static\" spec");
     }
-    if (distributions) {
-      bad("\"distributions\" needs seed aggregates (non-static specs)");
-    }
-  }
-  if (distributions && probes.empty()) {
-    bad("\"distributions\" rides the shared run of \"probes\" mode");
   }
 
   if (!warmup.empty() && warmup != "half") {
-    const std::size_t v = count_token("warmup", warmup, defaults);
-    (void)v;
+    (void)count_token("warmup", warmup, defaults);
   }
   // Report params must resolve WITHOUT a profile (profiles only override
   // the *values* of builtin variables, never introduce report-param
@@ -956,9 +841,7 @@ void experiment_spec::validate() const {
       bad("unknown report param \"" + p + "\"");
     }
   }
-  if (cells && columns.empty()) {
-    bad("\"cells\" requires \"columns\" mode");
-  }
+  if (cells && shared_run) bad("\"cells\" requires \"columns\" mode");
   if (cells) {
     // Cell entries serialize cell_key'd axis values as numbers; reject
     // non-numeric tokens here instead of after the first cell's full
@@ -969,7 +852,7 @@ void experiment_spec::validate() const {
         (void)var_numeric(axis.key, token);
       }
     }
-    for (const spec_column& col : columns) {
+    for (const spec_entry& col : columns) {
       if (!col.cell_key.empty()) {
         (void)var_numeric(col.cell_key, col.cell_token);
       }
@@ -990,7 +873,7 @@ void experiment_spec::validate() const {
     // Column `set` entries can carry '$' variables too (a column sweep
     // over a workload parameter); seed each one's first value so such
     // specs validate.
-    for (const spec_column& col : columns) {
+    for (const spec_entry& col : columns) {
       for (const auto& [key, token] : col.set) {
         if (is_workload_var(key)) vars.emplace(key.substr(1), token);
       }
@@ -1028,8 +911,8 @@ experiment_spec spec_from_json(const util::json& doc) {
               {"name", "title", "preamble", "footer", "base", "split", "rows",
                "columns", "probes", "checks", "verdict", "profiles",
                "report_params", "warmup", "workload", "trajectories",
-               "trajectory_sample_periods", "timeline", "cells",
-               "distributions", "static", "single_seed"},
+               "trajectory_sample_periods", "timeline", "cells", "static",
+               "single_seed"},
               "spec");
   experiment_spec spec;
   const util::json* name = doc.find("name");
@@ -1037,26 +920,9 @@ experiment_spec spec_from_json(const util::json& doc) {
     bad("spec needs a string \"name\"");
   }
   spec.name = name->as_string();
-  if (const util::json* title = doc.find("title")) {
-    if (!title->is_string()) bad("\"title\" must be a string");
-    spec.title = title->as_string();
-  }
-  if (const util::json* preamble = doc.find("preamble")) {
-    if (!preamble->is_array()) {
-      bad("\"preamble\" must be an array of strings");
-    }
-    for (const util::json& line : preamble->array_items()) {
-      if (!line.is_string()) bad("\"preamble\" must be an array of strings");
-      spec.preamble.push_back(line.as_string());
-    }
-  }
-  if (const util::json* footer = doc.find("footer")) {
-    if (!footer->is_array()) bad("\"footer\" must be an array of strings");
-    for (const util::json& line : footer->array_items()) {
-      if (!line.is_string()) bad("\"footer\" must be an array of strings");
-      spec.footer.push_back(line.as_string());
-    }
-  }
+  spec.title = string_from_json(doc, "title");
+  spec.preamble = strings_from_json(doc, "preamble");
+  spec.footer = strings_from_json(doc, "footer");
   if (const util::json* base = doc.find("base")) {
     spec.base = settings_from_json(*base, "\"base\"");
   }
@@ -1072,10 +938,7 @@ experiment_spec spec_from_json(const util::json& doc) {
       }
     }
     s.axis = axis_from_json(axis_part, false, "split");
-    if (const util::json* section = split->find("section")) {
-      if (!section->is_string()) bad("split \"section\" must be a string");
-      s.section = section->as_string();
-    }
+    s.section = string_from_json(*split, "section");
     const util::json* table_key = split->find("table_key");
     if (table_key == nullptr || !table_key->is_string()) {
       bad("split needs a string \"table_key\"");
@@ -1090,12 +953,14 @@ experiment_spec spec_from_json(const util::json& doc) {
   for (const util::json& axis : rows->array_items()) {
     spec.rows.push_back(axis_from_json(axis, true, "row axis"));
   }
-  if (const util::json* columns = doc.find("columns")) {
-    spec.columns = columns_from_json(*columns);
+  const util::json* columns = doc.find("columns");
+  const util::json* probes = doc.find("probes");
+  if ((columns == nullptr) == (probes == nullptr)) {
+    bad("exactly one of \"columns\" / \"probes\" is required");
   }
-  if (const util::json* probes = doc.find("probes")) {
-    spec.probes = probes_from_json(*probes);
-  }
+  spec.shared_run = probes != nullptr;
+  spec.columns = entries_from_json(spec.shared_run ? *probes : *columns,
+                                   spec.shared_run);
   if (const util::json* checks = doc.find("checks")) {
     spec.checks = checks_from_json(*checks);
   }
@@ -1105,39 +970,17 @@ experiment_spec spec_from_json(const util::json& doc) {
   if (const util::json* profiles = doc.find("profiles")) {
     spec.profiles = profiles_from_json(*profiles);
   }
-  if (const util::json* params = doc.find("report_params")) {
-    if (!params->is_array()) bad("\"report_params\" must be an array");
-    for (const util::json& p : params->array_items()) {
-      if (!p.is_string()) bad("\"report_params\" entries must be strings");
-      spec.report_params.push_back(p.as_string());
-    }
-  }
+  spec.report_params = strings_from_json(doc, "report_params");
   if (const util::json* warmup = doc.find("warmup")) {
     spec.warmup = warmup->is_string() ? warmup->as_string() : token_of(*warmup);
   }
   if (const util::json* workload = doc.find("workload")) {
     spec.workload = *workload;
   }
-  if (const util::json* t = doc.find("trajectories")) {
-    if (!t->is_bool()) bad("\"trajectories\" must be a bool");
-    spec.trajectories = t->as_bool();
-  }
-  if (const util::json* c = doc.find("cells")) {
-    if (!c->is_bool()) bad("\"cells\" must be a bool");
-    spec.cells = c->as_bool();
-  }
-  if (const util::json* d = doc.find("distributions")) {
-    if (!d->is_bool()) bad("\"distributions\" must be a bool");
-    spec.distributions = d->as_bool();
-  }
-  if (const util::json* s = doc.find("static")) {
-    if (!s->is_bool()) bad("\"static\" must be a bool");
-    spec.static_eval = s->as_bool();
-  }
-  if (const util::json* s = doc.find("single_seed")) {
-    if (!s->is_bool()) bad("\"single_seed\" must be a bool");
-    spec.single_seed = s->as_bool();
-  }
+  spec.trajectories = bool_from_json(doc, "trajectories");
+  spec.cells = bool_from_json(doc, "cells");
+  spec.static_eval = bool_from_json(doc, "static");
+  spec.single_seed = bool_from_json(doc, "single_seed");
   if (const util::json* n = doc.find("trajectory_sample_periods")) {
     if (!n->is_int()) bad("\"trajectory_sample_periods\" must be an integer");
     spec.trajectory_sample_periods = static_cast<int>(n->as_int());
@@ -1152,169 +995,10 @@ experiment_spec spec_from_json(const util::json& doc) {
     spec.timeline.period_s = period->is_int()
                                  ? static_cast<double>(period->as_int())
                                  : period->as_double();
-    const util::json* probes = t->find("probes");
-    if (probes == nullptr || !probes->is_array() || probes->size() == 0) {
-      bad("\"timeline\" needs a non-empty \"probes\" array");
-    }
-    for (const util::json& p : probes->array_items()) {
-      if (!p.is_string()) bad("\"timeline\" probes must be strings");
-      spec.timeline.probes.push_back(p.as_string());
-    }
+    spec.timeline.probes = strings_from_json(*t, "probes");
   }
   spec.validate();
   return spec;
-}
-
-namespace {
-
-util::json axis_to_json(const spec_axis& axis) {
-  util::json j = util::json::object();
-  j["axis"] = axis.key;
-  if (!axis.header.empty()) j["header"] = axis.header;
-  if (!axis.cell_key.empty()) j["cell_key"] = axis.cell_key;
-  util::json values = util::json::array();
-  for (const std::string& v : axis.values) values.push_back(v);
-  j["values"] = std::move(values);
-  return j;
-}
-
-util::json settings_to_json(const std::vector<spec_setting>& settings) {
-  util::json j = util::json::object();
-  for (const auto& [key, token] : settings) j[key] = token;
-  return j;
-}
-
-util::json lines_to_json(const std::vector<std::string>& lines) {
-  util::json j = util::json::array();
-  for (const std::string& line : lines) j.push_back(line);
-  return j;
-}
-
-}  // namespace
-
-util::json spec_to_json(const experiment_spec& spec) {
-  util::json doc = util::json::object();
-  doc["name"] = spec.name;
-  if (!spec.title.empty()) doc["title"] = spec.title;
-  if (!spec.preamble.empty()) doc["preamble"] = lines_to_json(spec.preamble);
-  if (!spec.footer.empty()) doc["footer"] = lines_to_json(spec.footer);
-  if (!spec.base.empty()) doc["base"] = settings_to_json(spec.base);
-  if (!spec.warmup.empty()) doc["warmup"] = spec.warmup;
-  if (spec.static_eval) doc["static"] = true;
-  if (spec.single_seed) doc["single_seed"] = true;
-  if (spec.split.has_value()) {
-    util::json split = axis_to_json(spec.split->axis);
-    if (!spec.split->section.empty()) split["section"] = spec.split->section;
-    split["table_key"] = spec.split->table_key;
-    doc["split"] = std::move(split);
-  }
-  util::json rows = util::json::array();
-  for (const spec_axis& axis : spec.rows) rows.push_back(axis_to_json(axis));
-  doc["rows"] = std::move(rows);
-  if (!spec.columns.empty()) {
-    util::json columns = util::json::array();
-    for (const spec_column& col : spec.columns) {
-      util::json c = util::json::object();
-      c["header"] = col.header;
-      switch (col.k) {
-        case spec_column::kind::probe:
-          c["probe"] = col.probe;
-          if (!col.cls.empty()) c["class"] = col.cls;
-          if (!col.stat.empty()) c["stat"] = col.stat;
-          if (!col.set.empty()) c["set"] = settings_to_json(col.set);
-          if (!col.cell_key.empty()) {
-            c["cell_key"] = col.cell_key;
-            c["cell_value"] = col.cell_token;
-          }
-          break;
-        case spec_column::kind::ratio: {
-          util::json ratio = util::json::array();
-          ratio.push_back(col.ratio_num);
-          ratio.push_back(col.ratio_den);
-          c["ratio"] = std::move(ratio);
-          break;
-        }
-        case spec_column::kind::row_value:
-          c["row_value"] = true;
-          break;
-      }
-      if (col.precision != 1) c["precision"] = col.precision;
-      columns.push_back(std::move(c));
-    }
-    doc["columns"] = std::move(columns);
-  }
-  if (!spec.probes.empty()) {
-    util::json probes = util::json::array();
-    for (const spec_probe& p : spec.probes) {
-      util::json entry = util::json::object();
-      if (p.ratio_num >= 0) {
-        entry["header"] = p.header;
-        util::json ratio = util::json::array();
-        ratio.push_back(p.ratio_num);
-        ratio.push_back(p.ratio_den);
-        entry["ratio"] = std::move(ratio);
-      } else {
-        entry["probe"] = p.probe;
-        entry["header"] = p.header;
-        if (!p.cls.empty()) entry["class"] = p.cls;
-        if (!p.stat.empty()) entry["stat"] = p.stat;
-      }
-      if (p.precision != 1) entry["precision"] = p.precision;
-      probes.push_back(std::move(entry));
-    }
-    doc["probes"] = std::move(probes);
-  }
-  if (!spec.checks.empty()) {
-    util::json checks = util::json::array();
-    for (const spec_check& c : spec.checks) {
-      util::json entry = util::json::object();
-      entry["probe"] = c.probe;
-      if (c.name != c.probe) entry["name"] = c.name;
-      checks.push_back(std::move(entry));
-    }
-    doc["checks"] = std::move(checks);
-  }
-  if (spec.verdict.has_value()) {
-    util::json verdict = util::json::object();
-    verdict["pass"] = spec.verdict->pass;
-    verdict["fail"] = spec.verdict->fail;
-    doc["verdict"] = std::move(verdict);
-  }
-  if (!spec.profiles.empty()) {
-    util::json profiles = util::json::object();
-    for (const auto& [name, prof] : spec.profiles) {
-      util::json body = util::json::object();
-      if (prof.peers) body["peers"] = *prof.peers;
-      if (prof.seeds) body["seeds"] = *prof.seeds;
-      if (prof.rounds) body["rounds"] = *prof.rounds;
-      if (prof.view_a) body["view_a"] = *prof.view_a;
-      if (prof.view_b) body["view_b"] = *prof.view_b;
-      if (!prof.vars.empty()) body["vars"] = settings_to_json(prof.vars);
-      profiles[name] = std::move(body);
-    }
-    doc["profiles"] = std::move(profiles);
-  }
-  if (!spec.report_params.empty()) {
-    util::json params = util::json::array();
-    for (const std::string& p : spec.report_params) params.push_back(p);
-    doc["report_params"] = std::move(params);
-  }
-  if (spec.workload.has_value()) doc["workload"] = *spec.workload;
-  if (spec.trajectories) doc["trajectories"] = true;
-  if (spec.cells) doc["cells"] = true;
-  if (spec.distributions) doc["distributions"] = true;
-  if (spec.trajectory_sample_periods != 0) {
-    doc["trajectory_sample_periods"] = spec.trajectory_sample_periods;
-  }
-  if (spec.timeline.enabled) {
-    util::json t = util::json::object();
-    t["period_s"] = spec.timeline.period_s;
-    util::json probes = util::json::array();
-    for (const std::string& p : spec.timeline.probes) probes.push_back(p);
-    t["probes"] = std::move(probes);
-    doc["timeline"] = std::move(t);
-  }
-  return doc;
 }
 
 experiment_spec load_spec_file(const std::string& path) {
@@ -1347,9 +1031,6 @@ struct spec_execution {
   bool capture_checks = false;  ///< per-seed check evaluation
   /// Resolved "checks"-list probes, in list order.
   std::vector<const metrics::probe*> check_probes = {};
-  /// The cell's workload document with variables resolved (null when the
-  /// spec has none); updated by the row loop before each sweep.
-  const util::json* workload_doc = nullptr;
   /// Sim-time health timeline (the spec's block, possibly force-enabled
   /// or re-period'd by the driver flags).
   bool capture_timeline = false;
@@ -1362,13 +1043,15 @@ struct spec_execution {
     return capture_traj || capture_checks || capture_timeline;
   }
 
-  /// Simulates one cell at one seed and evaluates `sels` on the final
-  /// state. The probe-visible window is the measured span. When
-  /// capturing, `capture` receives an object with the per-seed
-  /// "trajectory", "checks" and/or "timeline" members.
+  /// Simulates one cell at one seed — `workload_doc` (variables resolved)
+  /// when the spec has a workload, else plain shuffle periods — and
+  /// evaluates `sels` on the final state. The probe-visible window is the
+  /// measured span. When capturing, `capture` receives an object with the
+  /// per-seed "trajectory", "checks" and/or "timeline" members.
   std::vector<double> run_once(experiment_config cfg, std::uint64_t seed,
                                std::span<const metrics::probe_selector> sels,
                                const param_map& params,
+                               const util::json* workload_doc,
                                util::json* capture) const {
     cfg.seed = seed;
     const obs::trace_span cell_span("cell");
@@ -1475,36 +1158,44 @@ struct spec_execution {
     return out;
   }
 
-  /// One multi-seed sweep of a cell; fills `per_seed` with captures when
-  /// capturing.
-  std::vector<seed_aggregate> sweep(
-      const experiment_config& cfg,
-      std::span<const metrics::probe_selector> sels, const param_map& params,
-      util::json* per_seed) const {
+  /// One multi-seed sweep of a cell; the per-seed captures stay null
+  /// unless capturing.
+  multi_seed_result sweep(const experiment_config& cfg,
+                          std::span<const metrics::probe_selector> sels,
+                          const param_map& params,
+                          const util::json* workload_doc) const {
     run_options ropt{};
     ropt.threads = opt.threads;
     ropt.shards = cfg.shards;
-    if (!capturing()) {
-      return run_seeds_multi(
-          opt.seeds, opt.seed, sels.size(),
-          [&](std::uint64_t seed) {
-            return run_once(cfg, seed, sels, params, nullptr);
-          },
-          ropt);
-    }
-    multi_seed_result result = run_seeds_multi_captured(
+    return run_seeds_multi_captured(
         opt.seeds, opt.seed, sels.size(),
-        [&](std::uint64_t seed, util::json& capture_slot) {
-          return run_once(cfg, seed, sels, params, &capture_slot);
+        [&](std::uint64_t seed, util::json& capture) {
+          return run_once(cfg, seed, sels, params, workload_doc,
+                          capturing() ? &capture : nullptr);
         },
         ropt);
-    if (per_seed != nullptr) {
-      *per_seed = util::json::array();
-      for (util::json& c : result.captures) {
-        per_seed->push_back(std::move(c));
-      }
+  }
+};
+
+/// The overrides accumulated down to one run: config keys land in `cfg`,
+/// '$'-keys become workload variables and '%'-keys probe parameters.
+struct cell_settings {
+  experiment_config cfg;
+  var_map vars;
+  param_map params;
+  const spec_options& opt;  ///< resolves $view_a / $view_b
+
+  /// Applies one override and returns its table label.
+  std::string apply(const std::string& key, const std::string& token) {
+    if (is_workload_var(key)) {
+      vars[key.substr(1)] = token;
+      return token;
     }
-    return result.aggregates;
+    if (is_param_key(key)) {
+      params[key.substr(1)] = token;
+      return token;
+    }
+    return apply_setting(cfg, key, token, opt);
   }
 };
 
@@ -1522,57 +1213,6 @@ void for_each_row(const std::vector<spec_axis>& axes, Fn&& fn) {
       index[a] = 0;
     }
   }
-}
-
-/// The "probes"-mode measurement plan: one metric slot per non-ratio
-/// entry plus hidden slots for the full distribution summaries when the
-/// spec opts into "distributions".
-struct shared_plan {
-  std::vector<metrics::probe_selector> selectors;  ///< metric slots
-  std::vector<int> entry_metric;  ///< per entry: slot index, -1 = ratio
-  struct dist_block {
-    std::size_t entry;               ///< spec.probes index
-    int base;                        ///< first hidden metric slot
-    std::vector<std::string> stats;  ///< hidden stats, slot order
-  };
-  std::vector<dist_block> dist_blocks;
-};
-
-shared_plan build_shared_plan(const experiment_spec& spec) {
-  shared_plan plan;
-  for (const spec_probe& p : spec.probes) {
-    if (p.ratio_num >= 0) {
-      plan.entry_metric.push_back(-1);
-      continue;
-    }
-    plan.entry_metric.push_back(static_cast<int>(plan.selectors.size()));
-    plan.selectors.push_back(
-        metrics::resolve_selector(p.probe, p.cls, p.stat));
-  }
-  if (spec.distributions) {
-    for (std::size_t i = 0; i < spec.probes.size(); ++i) {
-      const spec_probe& p = spec.probes[i];
-      if (p.ratio_num >= 0) continue;
-      const metrics::probe* probe = metrics::find_probe(p.probe);
-      if (probe == nullptr ||
-          probe->kind != metrics::probe_kind::distribution) {
-        continue;
-      }
-      shared_plan::dist_block block;
-      block.entry = i;
-      block.base = static_cast<int>(plan.selectors.size());
-      block.stats = {"count", "mean", "stddev", "min", "max"};
-      if (probe->quantiles) {
-        block.stats.insert(block.stats.end(), {"p50", "p90", "p99"});
-      }
-      for (const std::string& stat : block.stats) {
-        plan.selectors.push_back(
-            metrics::resolve_selector(p.probe, {}, stat));
-      }
-      plan.dist_blocks.push_back(std::move(block));
-    }
-  }
-  return plan;
 }
 
 /// The standard "# title / # n=..." preamble, or the spec's literal
@@ -1643,117 +1283,6 @@ spec_options effective_options(const experiment_spec& spec,
     eff.view_b = static_cast<std::size_t>(*prof.view_b);
   }
   return eff;
-}
-
-/// Static execution: no simulation, no seeds — every cell is one
-/// world-free probe evaluation (the §2.2 traversal table). Check cells
-/// render check_result::cell and record verdict entries.
-void run_static_spec(const experiment_spec& spec, const spec_options& eff,
-                     std::ostream& out, workload::bench_report& report,
-                     util::json& checks_json, bool& checks_passed) {
-  std::vector<std::string> headers;
-  for (const spec_axis& axis : spec.rows) {
-    headers.push_back(subst_views(axis.header, eff));
-  }
-  for (const spec_column& col : spec.columns) {
-    headers.push_back(subst_views(col.header, eff));
-  }
-  for (const spec_probe& p : spec.probes) {
-    headers.push_back(subst_views(p.header, eff));
-  }
-  text_table table(std::move(headers));
-
-  experiment_config scratch;
-  for_each_row(spec.rows, [&](const std::vector<std::size_t>& index) {
-    var_map vars;
-    param_map row_params;
-    std::vector<std::string> cells;
-    const auto apply = [&](param_map& params, const std::string& key,
-                           const std::string& token) -> std::string {
-      if (is_workload_var(key)) {
-        vars[key.substr(1)] = token;
-        return token;
-      }
-      if (is_param_key(key)) {
-        params[key.substr(1)] = token;
-        return token;
-      }
-      return apply_setting(scratch, key, token, eff);
-    };
-    for (const auto& [key, token] : spec.base) {
-      (void)apply(row_params, key, token);
-    }
-    for (std::size_t a = 0; a < spec.rows.size(); ++a) {
-      cells.push_back(
-          apply(row_params, spec.rows[a].key, spec.rows[a].values[index[a]]));
-    }
-    const std::vector<std::string> row_labels = cells;
-
-    const auto record_check = [&](const std::string& column,
-                                  const std::string& check_name,
-                                  const metrics::check_result& result) {
-      util::json& entry = checks_json.push_back(util::json::object());
-      util::json row = util::json::array();
-      for (const std::string& label : row_labels) row.push_back(label);
-      entry["row"] = std::move(row);
-      if (!column.empty()) entry["column"] = column;
-      entry["check"] = check_name;
-      entry["passed"] = result.passed;
-      if (!result.detail.empty()) entry["detail"] = result.detail;
-      checks_passed = checks_passed && result.passed;
-    };
-
-    const auto eval_cell = [&](const std::string& probe_name,
-                               const std::string& cls,
-                               const std::string& stat, int precision,
-                               const param_map& params,
-                               const std::string& column) -> std::string {
-      const metrics::probe* p = metrics::find_probe(probe_name);
-      NYLON_ENSURES(p != nullptr);  // validate() checked
-      const metrics::probe_context ctx{params};
-      const metrics::probe_value value = p->run(ctx);
-      if (value.kind == metrics::probe_kind::check) {
-        record_check(column, probe_name, value.check);
-        return value.check.cell;
-      }
-      const metrics::probe_selector sel =
-          metrics::resolve_selector(probe_name, cls, stat);
-      return fmt(metrics::extract_scalar(sel, value), precision);
-    };
-
-    for (const spec_column& col : spec.columns) {
-      switch (col.k) {
-        case spec_column::kind::probe: {
-          param_map params = row_params;
-          for (const auto& [key, token] : col.set) {
-            (void)apply(params, key, token);
-          }
-          cells.push_back(eval_cell(col.probe, col.cls, col.stat,
-                                    col.precision, params,
-                                    subst_views(col.header, eff)));
-          break;
-        }
-        case spec_column::kind::ratio:
-          cells.push_back(fmt(0.0, col.precision));  // validate() forbids
-          break;
-        case spec_column::kind::row_value:
-          cells.push_back(row_labels.front());
-          break;
-      }
-    }
-    for (const spec_probe& p : spec.probes) {
-      cells.push_back(eval_cell(p.probe, p.cls, p.stat, p.precision,
-                                row_params, subst_views(p.header, eff)));
-    }
-    table.add_row(std::move(cells));
-  });
-
-  if (eff.csv) {
-    table.print_csv(out);
-  } else {
-    table.print(out);
-  }
-  report.add("table", workload::to_json(table));
 }
 
 /// Long-form timeline CSV: one `cell,seed,t_s,<v>,...` line per sample.
@@ -1853,391 +1382,299 @@ util::json run_spec(const experiment_spec& spec, const spec_options& opt,
     }
   }
 
+  spec_execution exec{spec, eff};
+  if (spec.warmup == "half") {
+    exec.warmup = eff.rounds / 2;
+  } else if (!spec.warmup.empty()) {
+    exec.warmup = static_cast<int>(count_token("warmup", spec.warmup, eff));
+  }
+  if (exec.warmup > eff.rounds) exec.warmup = eff.rounds;
+  exec.measure = eff.rounds - exec.warmup;
+  exec.capture_traj = spec.workload.has_value() && spec.trajectories;
+  exec.capture_checks = !spec.checks.empty();
+  for (const spec_entry& c : spec.checks) {
+    exec.check_probes.push_back(metrics::find_probe(c.probe));
+  }
+
+  // Effective timeline: the spec's own block, force-enabled by
+  // --timeline (default passive columns when the spec declares none),
+  // period overridable by --timeline-period. Resolving here (not just
+  // in validate()) also vets flag-supplied columns. A static spec has no
+  // sim time to sample.
+  spec_timeline tl = spec.timeline;
+  if (eff.timeline && !tl.enabled && !spec.static_eval) {
+    tl.enabled = true;
+    tl.probes = default_timeline_columns();
+    tl.period_s = 5.0;
+  }
+  if (tl.enabled && eff.timeline_period_s > 0) {
+    tl.period_s = eff.timeline_period_s;
+  }
+  exec.capture_timeline = tl.enabled;
+  exec.timeline_period_s = tl.period_s;
+  exec.timeline_names = tl.probes;
+  for (const std::string& token : tl.probes) {
+    exec.timeline_cols.push_back(resolve_timeline_column(token));
+  }
+
+  // Base settings: driver options first, then the spec's own overrides.
+  cell_settings base{experiment_config{}, builtins, {}, eff};
+  base.cfg.peer_count = eff.peers;
+  base.cfg.gossip.view_size = eff.view_a;
+  base.cfg.shards = eff.shards;
+  (void)base.apply("transport", eff.transport);
+  if (eff.udp_time_scale > 0) base.cfg.udp_time_scale = eff.udp_time_scale;
+  for (const auto& [key, token] : spec.base) (void)base.apply(key, token);
+  // BENCH docs carry the transport so bench/trend.py can key trends on
+  // it (sim and udp numbers must never mix); omitted for plain sim
+  // runs, which trend.py reads as the default.
+  if (!spec.static_eval && base.cfg.transport != transport_kind::sim) {
+    report.add("transport", std::string(to_string(base.cfg.transport)));
+  }
+
+  // The runs of a row: one multi-seed sweep per probe column, or one
+  // shared sweep for all of them in "probes" mode. A static cell is one
+  // world-free evaluation either way.
+  std::vector<std::vector<std::size_t>> runs;
+  for (std::size_t j = 0; j < spec.columns.size(); ++j) {
+    if (spec.columns[j].k != spec_entry::kind::probe) continue;
+    if (runs.empty() || !spec.shared_run || spec.static_eval) {
+      runs.emplace_back();
+    }
+    runs.back().push_back(j);
+  }
+
   util::json checks_json = util::json::array();
   bool checks_passed = true;
+  util::json trajectories = util::json::array();
+  util::json timeline_cells = util::json::array();
+  util::json cells_json = util::json::array();
+  bool msglog_dumped = false;
 
-  if (spec.static_eval) {
-    run_static_spec(spec, eff, out, report, checks_json, checks_passed);
-  } else {
-    spec_execution exec{spec, eff};
-    if (spec.warmup == "half") {
-      exec.warmup = eff.rounds / 2;
-    } else if (!spec.warmup.empty()) {
-      exec.warmup = static_cast<int>(count_token("warmup", spec.warmup, eff));
-    }
-    if (exec.warmup > eff.rounds) exec.warmup = eff.rounds;
-    exec.measure = eff.rounds - exec.warmup;
-    exec.capture_traj = spec.workload.has_value() &&
-                        (spec.trajectories || eff.trajectories);
-    exec.capture_checks = !spec.checks.empty();
-    for (const spec_check& c : spec.checks) {
-      exec.check_probes.push_back(metrics::find_probe(c.probe));
-    }
-
-    // Effective timeline: the spec's own block, force-enabled by
-    // --timeline (default passive columns when the spec declares none),
-    // period overridable by --timeline-period. Resolving here (not just
-    // in validate()) also vets flag-supplied columns.
-    spec_timeline tl = spec.timeline;
-    if (eff.timeline && !tl.enabled) {
-      tl.enabled = true;
-      tl.probes = default_timeline_columns();
-      tl.period_s = 5.0;
-    }
-    if (tl.enabled && eff.timeline_period_s > 0) {
-      tl.period_s = eff.timeline_period_s;
-    }
-    exec.capture_timeline = tl.enabled;
-    exec.timeline_period_s = tl.period_s;
-    exec.timeline_names = tl.probes;
-    for (const std::string& token : tl.probes) {
-      exec.timeline_cols.push_back(resolve_timeline_column(token));
-    }
-
-    // Base config: driver options first, then the spec's own overrides.
-    // '$'-keys accumulate as workload variables, '%'-keys as probe
-    // parameters, instead of touching the config.
-    var_map base_vars = builtins;
-    param_map base_params;
-    const auto apply_or_var = [&eff](experiment_config& cfg, var_map& vars,
-                                     param_map& params,
-                                     const std::string& key,
-                                     const std::string& token) -> std::string {
-      if (is_workload_var(key)) {
-        vars[key.substr(1)] = token;
-        return token;
+  const std::vector<std::string> split_tokens =
+      spec.split.has_value() ? spec.split->axis.values
+                             : std::vector<std::string>{std::string()};
+  for (const std::string& split_token : split_tokens) {
+    cell_settings split = base;
+    std::string table_key;
+    if (spec.split.has_value()) {
+      const std::string split_label =
+          split.apply(spec.split->axis.key, split_token);
+      table_key = subst_braces(spec.split->table_key, split_label);
+      if (!spec.split->section.empty()) {
+        out << "\n" << subst_braces(spec.split->section, split_label) << "\n";
       }
-      if (is_param_key(key)) {
-        params[key.substr(1)] = token;
-        return token;
-      }
-      return apply_setting(cfg, key, token, eff);
-    };
-    experiment_config base_cfg;
-    base_cfg.peer_count = eff.peers;
-    base_cfg.gossip.view_size = eff.view_a;
-    base_cfg.shards = eff.shards;
-    apply_setting(base_cfg, "transport", eff.transport, eff);
-    if (eff.udp_time_scale > 0) base_cfg.udp_time_scale = eff.udp_time_scale;
-    for (const auto& [key, token] : spec.base) {
-      apply_or_var(base_cfg, base_vars, base_params, key, token);
     }
-    // BENCH docs carry the transport so bench/trend.py can key trends on
-    // it (sim and udp numbers must never mix); omitted for plain sim
-    // runs, which trend.py reads as the default.
-    if (base_cfg.transport != transport_kind::sim) {
-      report.add("transport", std::string(to_string(base_cfg.transport)));
+
+    std::vector<std::string> headers;
+    for (const spec_axis& axis : spec.rows) {
+      headers.push_back(subst_views(axis.header, eff));
     }
-    // Measurement plan of the shared-run ("probes") mode.
-    const shared_plan plan = build_shared_plan(spec);
+    for (const spec_entry& col : spec.columns) {
+      headers.push_back(subst_views(col.header, eff));
+    }
+    text_table table(std::move(headers));
 
-    util::json trajectories = util::json::array();
-    util::json timeline_cells = util::json::array();
-    util::json cells_json = util::json::array();
-    util::json distributions_json = util::json::array();
-    bool msglog_dumped = false;
-
-    const std::vector<std::string> split_tokens =
-        spec.split.has_value() ? spec.split->axis.values
-                               : std::vector<std::string>{std::string()};
-    for (const std::string& split_token : split_tokens) {
-      experiment_config split_cfg = base_cfg;
-      var_map split_vars = base_vars;
-      param_map split_params = base_params;
-      std::string split_label;
-      std::string table_key;
-      if (spec.split.has_value()) {
-        split_label = apply_or_var(split_cfg, split_vars, split_params,
-                                   spec.split->axis.key, split_token);
-        table_key = subst_braces(spec.split->table_key, split_label);
-        if (!spec.split->section.empty()) {
-          out << "\n" << subst_braces(spec.split->section, split_label)
-              << "\n";
-        }
+    for_each_row(spec.rows, [&](const std::vector<std::size_t>& index) {
+      cell_settings row = split;
+      std::vector<std::string> row_labels;
+      for (std::size_t a = 0; a < spec.rows.size(); ++a) {
+        row_labels.push_back(
+            row.apply(spec.rows[a].key, spec.rows[a].values[index[a]]));
       }
 
-      std::vector<std::string> headers;
-      for (const spec_axis& axis : spec.rows) {
-        headers.push_back(subst_views(axis.header, eff));
-      }
-      for (const spec_column& col : spec.columns) {
-        headers.push_back(subst_views(col.header, eff));
-      }
-      for (const spec_probe& p : spec.probes) {
-        headers.push_back(subst_views(p.header, eff));
-      }
-      text_table table(std::move(headers));
+      /// Appends a {table?, row} entry to `sink` (check verdicts and
+      /// per-seed series share the prefix).
+      const auto row_entry = [&](util::json& sink) -> util::json& {
+        util::json& entry = sink.push_back(util::json::object());
+        if (!table_key.empty()) entry["table"] = table_key;
+        util::json row = util::json::array();
+        for (const std::string& label : row_labels) row.push_back(label);
+        entry["row"] = std::move(row);
+        return entry;
+      };
 
-      for_each_row(spec.rows, [&](const std::vector<std::size_t>& index) {
-        experiment_config row_cfg = split_cfg;
-        var_map row_vars = split_vars;
-        param_map row_params = split_params;
-        std::vector<std::string> cells;
+      /// `cells` mode: one entry per probe column, carrying each
+      /// cell_key'd axis value plus the full multi-seed aggregate.
+      const auto record_cell = [&](const spec_entry& col,
+                                   const seed_aggregate& agg) {
+        util::json& entry = cells_json.push_back(util::json::object());
+        if (!table_key.empty()) entry["table"] = table_key;
         for (std::size_t a = 0; a < spec.rows.size(); ++a) {
-          cells.push_back(apply_or_var(row_cfg, row_vars, row_params,
-                                       spec.rows[a].key,
-                                       spec.rows[a].values[index[a]]));
+          const spec_axis& axis = spec.rows[a];
+          if (axis.cell_key.empty()) continue;
+          const std::string& token = axis.values[index[a]];
+          entry[axis.cell_key] = var_value(var_numeric(axis.key, token));
         }
-        const std::vector<std::string> row_labels = cells;
-
-        // The row's workload document, variables resolved; column-level
-        // '$' settings are resolved per column below.
-        util::json resolved_workload;
-        if (spec.workload.has_value()) {
-          resolved_workload = resolve_workload_vars(*spec.workload, row_vars);
-          exec.workload_doc = &resolved_workload;
+        if (!col.cell_key.empty()) {
+          entry[col.cell_key] =
+              var_value(var_numeric(col.cell_key, col.cell_token));
         }
+        std::string metric_key = col.probe;
+        if (!col.cls.empty()) {
+          metric_key += "." + col.cls;
+        } else if (!col.stat.empty()) {
+          metric_key += "." + col.stat;
+        }
+        entry[metric_key] = workload::to_json(agg);
+      };
 
-        /// `cells` mode: one entry per probe column, carrying each
-        /// cell_key'd axis value plus the full multi-seed aggregate.
-        const auto record_cell = [&](const spec_column& col,
-                                     const std::vector<seed_aggregate>&
-                                         aggs) {
-          if (!spec.cells) return;
-          util::json& entry = cells_json.push_back(util::json::object());
-          if (!table_key.empty()) entry["table"] = table_key;
-          for (std::size_t a = 0; a < spec.rows.size(); ++a) {
-            const spec_axis& axis = spec.rows[a];
-            if (axis.cell_key.empty()) continue;
-            const std::string& token = axis.values[index[a]];
-            entry[axis.cell_key] = var_value(var_numeric(axis.key, token));
-          }
-          if (!col.cell_key.empty()) {
-            entry[col.cell_key] =
-                var_value(var_numeric(col.cell_key, col.cell_token));
-          }
-          std::string metric_key = col.probe;
-          if (!col.cls.empty()) {
-            metric_key += "." + col.cls;
-          } else if (!col.stat.empty()) {
-            metric_key += "." + col.stat;
-          }
-          entry[metric_key] = workload::to_json(aggs[0]);
-        };
-
-        /// Appends one {table?, row, column?, per_seed} entry to `sink`
-        /// (trajectories and timeline cells share the shape).
-        const auto record_series = [&](util::json& sink, util::json per_seed,
+      /// Records a run's per-seed captures: check verdicts, then the
+      /// trajectory and timeline series. A failed check triggers a
+      /// one-shot dump of the message flight recorder (when
+      /// `nylon_exp --msglog` armed it) so the hop-by-hop forensics land
+      /// next to the verdict.
+      const auto record_captures = [&](const std::vector<util::json>& per_seed,
                                        const std::string& column) {
-          if (per_seed.is_null()) return;
-          util::json& entry = sink.push_back(util::json::object());
-          if (!table_key.empty()) entry["table"] = table_key;
-          util::json row = util::json::array();
-          for (const std::string& label : row_labels) row.push_back(label);
-          entry["row"] = std::move(row);
-          if (!column.empty()) entry["column"] = column;
-          entry["per_seed"] = std::move(per_seed);
-        };
-
-        /// The trajectory / timeline halves of a captured per-seed
-        /// array (null members when that capture is off).
-        struct capture_halves {
-          util::json traj;
-          util::json timeline;
-        };
-
-        /// Splits a captured per-seed array into its halves and records
-        /// check verdicts. A failed check triggers a one-shot dump of
-        /// the message flight recorder (when `nylon_exp --msglog` armed
-        /// it) so the hop-by-hop forensics land next to the verdict.
-        const auto unwrap_captures =
-            [&](util::json per_seed) -> capture_halves {
-          capture_halves halves;
-          if (per_seed.is_null()) return halves;
-          const std::size_t seeds = per_seed.size();
-          for (std::size_t j = 0; j < spec.checks.size(); ++j) {
-            bool passed = true;
-            std::string detail;
-            util::json failed_seeds = util::json::array();
-            for (std::size_t s = 0; s < seeds; ++s) {
-              const util::json& entry =
-                  per_seed.at(s).at("checks").at(j);
-              const bool seed_passed = entry.at("passed").as_bool();
-              if (s == 0) detail = entry.at("detail").as_string();
-              if (!seed_passed) {
-                passed = false;
-                failed_seeds.push_back(static_cast<std::int64_t>(s));
-              }
-            }
-            util::json& entry = checks_json.push_back(util::json::object());
-            if (!table_key.empty()) entry["table"] = table_key;
-            util::json row = util::json::array();
-            for (const std::string& label : row_labels) {
-              row.push_back(label);
-            }
-            entry["row"] = std::move(row);
-            entry["check"] = spec.checks[j].name;
-            entry["passed"] = passed;
-            if (!detail.empty()) entry["detail"] = detail;
-            if (failed_seeds.size() > 0) {
-              entry["failed_seeds"] = std::move(failed_seeds);
-            }
-            checks_passed = checks_passed && passed;
-            if (!passed && !msglog_dumped && obs::msglog_enabled()) {
-              msglog_dumped = true;
-              std::cerr << "# check \"" << spec.checks[j].name
-                        << "\" failed — sampled message flight records:\n";
-              obs::msglog_dump(std::cerr, 40);
+        const std::size_t seeds = per_seed.size();
+        for (std::size_t c = 0; c < spec.checks.size(); ++c) {
+          bool passed = true;
+          std::string detail;
+          util::json failed_seeds = util::json::array();
+          for (std::size_t s = 0; s < seeds; ++s) {
+            const util::json& verdict = per_seed[s].at("checks").at(c);
+            if (s == 0) detail = verdict.at("detail").as_string();
+            if (!verdict.at("passed").as_bool()) {
+              passed = false;
+              failed_seeds.push_back(static_cast<std::int64_t>(s));
             }
           }
-          if (exec.capture_traj) {
-            halves.traj = util::json::array();
-            for (std::size_t s = 0; s < seeds; ++s) {
-              halves.traj.push_back(per_seed.at(s).at("trajectory"));
-            }
+          util::json& entry = row_entry(checks_json);
+          entry["check"] = spec.checks[c].header;
+          entry["passed"] = passed;
+          if (!detail.empty()) entry["detail"] = detail;
+          if (failed_seeds.size() > 0) {
+            entry["failed_seeds"] = std::move(failed_seeds);
           }
-          if (exec.capture_timeline) {
-            halves.timeline = util::json::array();
-            for (std::size_t s = 0; s < seeds; ++s) {
-              halves.timeline.push_back(per_seed.at(s).at("timeline"));
-            }
-          }
-          return halves;
-        };
-
-        const auto record_distributions =
-            [&](const std::vector<seed_aggregate>& aggs) {
-              for (const shared_plan::dist_block& block : plan.dist_blocks) {
-                util::json& entry =
-                    distributions_json.push_back(util::json::object());
-                if (!table_key.empty()) entry["table"] = table_key;
-                util::json row = util::json::array();
-                for (const std::string& label : row_labels) {
-                  row.push_back(label);
-                }
-                entry["row"] = std::move(row);
-                entry["probe"] = spec.probes[block.entry].probe;
-                entry["header"] =
-                    subst_views(spec.probes[block.entry].header, eff);
-                for (std::size_t k = 0; k < block.stats.size(); ++k) {
-                  entry[block.stats[k]] = workload::to_json(
-                      aggs[static_cast<std::size_t>(block.base) + k]);
-                }
-              }
-            };
-
-        if (!spec.columns.empty()) {
-          std::vector<double> means(spec.columns.size(), 0.0);
-          for (std::size_t j = 0; j < spec.columns.size(); ++j) {
-            const spec_column& col = spec.columns[j];
-            switch (col.k) {
-              case spec_column::kind::probe: {
-                experiment_config cfg = row_cfg;
-                var_map col_vars = row_vars;
-                param_map col_params = row_params;
-                bool col_has_vars = false;
-                for (const auto& [key, token] : col.set) {
-                  col_has_vars = col_has_vars || is_workload_var(key);
-                  apply_or_var(cfg, col_vars, col_params, key, token);
-                }
-                util::json col_workload;
-                if (col_has_vars && spec.workload.has_value()) {
-                  col_workload =
-                      resolve_workload_vars(*spec.workload, col_vars);
-                  exec.workload_doc = &col_workload;
-                }
-                const metrics::probe_selector sel =
-                    metrics::resolve_selector(col.probe, col.cls, col.stat);
-                util::json per_seed;
-                const std::vector<seed_aggregate> aggs = exec.sweep(
-                    cfg, std::span<const metrics::probe_selector>{&sel, 1},
-                    col_params, exec.capturing() ? &per_seed : nullptr);
-                if (col_has_vars && spec.workload.has_value()) {
-                  exec.workload_doc = &resolved_workload;
-                }
-                auto halves = unwrap_captures(std::move(per_seed));
-                record_series(trajectories, std::move(halves.traj),
-                              subst_views(col.header, eff));
-                record_series(timeline_cells, std::move(halves.timeline),
-                              subst_views(col.header, eff));
-                record_cell(col, aggs);
-                means[j] = aggs[0].stats.mean;
-                cells.push_back(fmt(means[j], col.precision));
-                break;
-              }
-              case spec_column::kind::ratio: {
-                const double num =
-                    means[static_cast<std::size_t>(col.ratio_num)];
-                const double den =
-                    means[static_cast<std::size_t>(col.ratio_den)];
-                cells.push_back(fmt(den > 0 ? num / den : 0.0,
-                                    col.precision));
-                break;
-              }
-              case spec_column::kind::row_value:
-                cells.push_back(row_labels.front());
-                break;
-            }
-          }
-        } else {
-          util::json per_seed;
-          const std::vector<seed_aggregate> aggs =
-              exec.sweep(row_cfg, plan.selectors, row_params,
-                         exec.capturing() ? &per_seed : nullptr);
-          auto halves = unwrap_captures(std::move(per_seed));
-          record_series(trajectories, std::move(halves.traj), std::string());
-          record_series(timeline_cells, std::move(halves.timeline),
-                        std::string());
-          record_distributions(aggs);
-          std::vector<double> entry_means(spec.probes.size(), 0.0);
-          for (std::size_t k = 0; k < spec.probes.size(); ++k) {
-            const spec_probe& p = spec.probes[k];
-            if (p.ratio_num >= 0) {
-              const int num_slot =
-                  plan.entry_metric[static_cast<std::size_t>(p.ratio_num)];
-              const int den_slot =
-                  plan.entry_metric[static_cast<std::size_t>(p.ratio_den)];
-              const double num =
-                  aggs[static_cast<std::size_t>(num_slot)].stats.mean;
-              const double den =
-                  aggs[static_cast<std::size_t>(den_slot)].stats.mean;
-              entry_means[k] = den > 0 ? num / den : 0.0;
-            } else {
-              const int slot = plan.entry_metric[k];
-              entry_means[k] =
-                  aggs[static_cast<std::size_t>(slot)].stats.mean;
-            }
-            cells.push_back(fmt(entry_means[k], p.precision));
+          checks_passed = checks_passed && passed;
+          if (!passed && !msglog_dumped && obs::msglog_enabled()) {
+            msglog_dumped = true;
+            std::cerr << "# check \"" << spec.checks[c].header
+                      << "\" failed — sampled message flight records:\n";
+            obs::msglog_dump(std::cerr, 40);
           }
         }
-        table.add_row(std::move(cells));
-      });
+        const auto record_series = [&](util::json& sink, const char* part) {
+          util::json series = util::json::array();
+          for (std::size_t s = 0; s < seeds; ++s) {
+            series.push_back(per_seed[s].at(part));
+          }
+          util::json& entry = row_entry(sink);
+          if (!column.empty()) entry["column"] = column;
+          entry["per_seed"] = std::move(series);
+        };
+        if (exec.capture_traj) record_series(trajectories, "trajectory");
+        if (exec.capture_timeline) record_series(timeline_cells, "timeline");
+      };
 
-      if (eff.csv) {
-        table.print_csv(out);
-      } else {
-        table.print(out);
-      }
-      if (spec.split.has_value()) {
-        report.add_table(table_key, table);
-      } else {
-        report.add("table", workload::to_json(table));
-      }
-    }
+      std::vector<std::string> cells(spec.columns.size());
+      std::vector<double> means(spec.columns.size(), 0.0);
+      for (const std::vector<std::size_t>& run : runs) {
+        cell_settings cell = row;
+        for (const std::size_t j : run) {
+          for (const auto& [key, token] : spec.columns[j].set) {
+            (void)cell.apply(key, token);
+          }
+        }
+        if (spec.static_eval) {
+          // Check cells render their check_result::cell and record a
+          // verdict entry.
+          const spec_entry& col = spec.columns[run.front()];
+          const metrics::probe* p = metrics::find_probe(col.probe);
+          const metrics::probe_value value =
+              p->run(metrics::probe_context{cell.params});
+          if (value.kind != metrics::probe_kind::check) {
+            cells[run.front()] = fmt(
+                metrics::extract_scalar(
+                    metrics::resolve_selector(col.probe, col.cls, col.stat),
+                    value),
+                col.precision);
+            continue;
+          }
+          util::json& entry = row_entry(checks_json);
+          entry["column"] = subst_views(col.header, eff);
+          entry["check"] = col.probe;
+          entry["passed"] = value.check.passed;
+          if (!value.check.detail.empty()) entry["detail"] = value.check.detail;
+          checks_passed = checks_passed && value.check.passed;
+          cells[run.front()] = value.check.cell;
+          continue;
+        }
 
-    if (spec.cells) report.add("cells", std::move(cells_json));
-    if (distributions_json.size() > 0) {
-      report.add("distributions", std::move(distributions_json));
-    }
-    if (exec.capture_traj && trajectories.size() > 0) {
-      report.add("trajectories", std::move(trajectories));
-    }
-    if (exec.capture_timeline) {
-      if (!eff.timeline_csv.empty()) {
-        write_timeline_csv(eff.timeline_csv, exec.timeline_names,
-                           timeline_cells);
+        std::vector<metrics::probe_selector> sels;
+        for (const std::size_t j : run) {
+          const spec_entry& col = spec.columns[j];
+          sels.push_back(
+              metrics::resolve_selector(col.probe, col.cls, col.stat));
+        }
+        // The run's workload document, its '$' variables resolved.
+        const util::json workload_doc =
+            spec.workload.has_value()
+                ? resolve_workload_vars(*spec.workload, cell.vars)
+                : util::json();
+        const multi_seed_result result = exec.sweep(
+            cell.cfg, sels, cell.params,
+            spec.workload.has_value() ? &workload_doc : nullptr);
+        const std::vector<seed_aggregate>& aggs = result.aggregates;
+        if (exec.capturing()) {
+          record_captures(result.captures,
+                          spec.shared_run
+                              ? std::string()
+                              : subst_views(spec.columns[run.front()].header,
+                                            eff));
+        }
+        for (std::size_t k = 0; k < run.size(); ++k) {
+          const spec_entry& col = spec.columns[run[k]];
+          if (spec.cells) record_cell(col, aggs[k]);
+          means[run[k]] = aggs[k].stats.mean;
+          cells[run[k]] = fmt(means[run[k]], col.precision);
+        }
       }
-      util::json block = util::json::object();
-      block["period_s"] = exec.timeline_period_s;
-      util::json cols = util::json::array();
-      cols.push_back(std::string("t_s"));
-      for (const std::string& name : exec.timeline_names) {
-        cols.push_back(name);
+      for (std::size_t j = 0; j < spec.columns.size(); ++j) {
+        const spec_entry& col = spec.columns[j];
+        if (col.k == spec_entry::kind::ratio) {
+          const double num = means[static_cast<std::size_t>(col.ratio_num)];
+          const double den = means[static_cast<std::size_t>(col.ratio_den)];
+          cells[j] = fmt(den > 0 ? num / den : 0.0, col.precision);
+        } else if (col.k == spec_entry::kind::row_value) {
+          cells[j] = row_labels.front();
+        }
       }
-      block["columns"] = std::move(cols);
-      block["cells"] = std::move(timeline_cells);
-      report.add("timeline", std::move(block));
+      cells.insert(cells.begin(), row_labels.begin(), row_labels.end());
+      table.add_row(std::move(cells));
+    });
+
+    if (eff.csv) {
+      table.print_csv(out);
+    } else {
+      table.print(out);
     }
+    if (spec.split.has_value()) {
+      report.add_table(table_key, table);
+    } else {
+      report.add("table", workload::to_json(table));
+    }
+  }
+
+  if (spec.cells) report.add("cells", std::move(cells_json));
+  if (exec.capture_traj && trajectories.size() > 0) {
+    report.add("trajectories", std::move(trajectories));
+  }
+  if (exec.capture_timeline) {
+    if (!eff.timeline_csv.empty()) {
+      write_timeline_csv(eff.timeline_csv, exec.timeline_names,
+                         timeline_cells);
+    }
+    util::json block = util::json::object();
+    block["period_s"] = exec.timeline_period_s;
+    util::json cols = util::json::array();
+    cols.push_back(std::string("t_s"));
+    for (const std::string& name : exec.timeline_names) {
+      cols.push_back(name);
+    }
+    block["columns"] = std::move(cols);
+    block["cells"] = std::move(timeline_cells);
+    report.add("timeline", std::move(block));
   }
 
   if (!spec.footer.empty()) {

@@ -29,9 +29,10 @@ namespace nylon::runtime {
 
 /// One key=value configuration override, kept as raw tokens: values
 /// resolve at run time, so "$view_a"/"$view_b" can refer to the options
-/// the driver was launched with (--view-a/--view-b). Keys starting with '$' are workload variables; keys starting
-/// with '%' are probe parameters (passed to the probes via
-/// probe_context::params instead of touching the config).
+/// the driver was launched with (--view-a/--view-b). Keys starting with
+/// '$' are workload variables; keys starting with '%' are probe
+/// parameters (passed to the probes via probe_context::params instead of
+/// touching the config).
 using spec_setting = std::pair<std::string, std::string>;
 
 /// One swept dimension of a study. Keys are either config keys
@@ -51,49 +52,29 @@ struct spec_axis {
   std::string cell_key;
 };
 
-/// One table column in "columns" mode (each probe column is its own
-/// scenario sweep).
-struct spec_column {
-  enum class kind : std::uint8_t {
-    probe,      ///< run a scenario per row and evaluate one probe
-    ratio,      ///< earlier probe column divided by another (e.g. Fig. 7)
-    row_value,  ///< echo the first row label (Fig. 4's "uniform (ideal)")
-  };
+/// One table column, in either mode, and one "checks" list entry: a
+/// probe cell, a ratio of two earlier probe columns' seed means (Fig. 7's
+/// Nylon/reference, Fig. 8's public/natted) or an echo of the first row
+/// label (Fig. 4's "uniform (ideal)").
+struct spec_entry {
+  enum class kind : std::uint8_t { probe, ratio, row_value };
   kind k = kind::probe;
-  std::string header;              ///< may reference $view_a / $view_b
-  std::vector<spec_setting> set;   ///< config overrides for this column
-  std::string probe;               ///< probe name (kind::probe)
-  std::string cls;                 ///< per_class selection ("class")
-  std::string stat;                ///< distribution stat selection
-  int ratio_num = -1;              ///< numerator column index (kind::ratio)
-  int ratio_den = -1;              ///< denominator column index
-  int precision = 1;               ///< table cell decimals
-  /// `cells` mode: the column's contribution to each cell entry
-  /// (populated by a sweep column's axis `cell_key` + value token).
+  /// Column header (may reference $view_a / $view_b); a check's report
+  /// label. Defaults to the probe name.
+  std::string header;
+  /// Config overrides for this column ("columns" mode only: a shared
+  /// run has one config per row).
+  std::vector<spec_setting> set;
+  std::string probe;     ///< probe name (kind::probe)
+  std::string cls;       ///< per_class selection ("class")
+  std::string stat;      ///< distribution stat selection
+  int ratio_num = -1;    ///< numerator column index (kind::ratio)
+  int ratio_den = -1;    ///< denominator column index
+  int precision = 1;     ///< table cell decimals
+  /// `cells` mode: the column's contribution to each cell entry (a sweep
+  /// column's axis `cell_key` + value token).
   std::string cell_key;
   std::string cell_token;
-};
-
-/// One probe column in "probes" mode: all probes of a row share a single
-/// scenario run. Entries
-/// with `ratio_num >= 0` are computed from earlier entries' means (the
-/// Fig. 8 public/natted column) and run nothing themselves.
-struct spec_probe {
-  std::string probe;  ///< empty for ratio entries
-  std::string header;
-  std::string cls;    ///< per_class selection ("class")
-  std::string stat;   ///< distribution stat selection
-  int ratio_num = -1;
-  int ratio_den = -1;
-  int precision = 1;
-};
-
-/// One entry of the "checks" list: a check probe evaluated on the shared
-/// run of every row (probes mode), verdicts recorded under "checks" in
-/// the JSON report without touching the printed table.
-struct spec_check {
-  std::string probe;
-  std::string name;  ///< report label; defaults to the probe name
 };
 
 /// Pass/fail stdout line printed after the footer when the spec carries
@@ -155,10 +136,14 @@ struct experiment_spec {
   std::vector<spec_setting> base;    ///< config overrides under every cell
   std::optional<spec_split> split;
   std::vector<spec_axis> rows;       ///< cartesian row axes, outer first
-  std::vector<spec_column> columns;  ///< exclusive with `probes`
-  std::vector<spec_probe> probes;
-  /// Check probes evaluated on each row's shared run (probes mode).
-  std::vector<spec_check> checks;
+  /// The table columns after the row labels ("columns" or "probes").
+  std::vector<spec_entry> columns;
+  /// "probes" mode: every probe column of a row rides one shared
+  /// scenario run. Otherwise ("columns" mode) each probe column is its
+  /// own multi-seed sweep under its `set` overrides.
+  bool shared_run = false;
+  /// Check probes evaluated on each row's shared run ("probes" mode).
+  std::vector<spec_entry> checks;
   std::optional<spec_verdict> verdict;
   /// Named override sets selectable with --profile.
   std::vector<std::pair<std::string, spec_profile>> profiles;
@@ -173,11 +158,6 @@ struct experiment_spec {
   /// axes' `cell_key` values plus the full multi-seed aggregate — the
   /// Fig. 10 per-cell form.
   bool cells = false;
-  /// Emit full distribution summaries (count/mean/stddev/min/max and
-  /// quantiles when retained) under "distributions" for every
-  /// distribution-probe entry (probes mode; each summary field is
-  /// seed-aggregated like any metric).
-  bool distributions = false;
   /// No simulation at all: every cell is a world-free probe evaluation
   /// (probes with needs_world == false — the §2.2 traversal table).
   bool static_eval = false;
@@ -210,11 +190,6 @@ struct experiment_spec {
 /// returned spec is already validate()d.
 [[nodiscard]] experiment_spec spec_from_json(const util::json& doc);
 
-/// Serializes a spec back to JSON (column sweeps and value ranges are
-/// emitted in expanded form). spec_from_json(spec_to_json(s)) is
-/// equivalent to s.
-[[nodiscard]] util::json spec_to_json(const experiment_spec& spec);
-
 /// Loads and parses a spec file (throws std::runtime_error on I/O
 /// failure, json_parse_error / contract_error on bad content).
 [[nodiscard]] experiment_spec load_spec_file(const std::string& path);
@@ -235,7 +210,6 @@ struct spec_options {
   std::string json;         ///< write BENCH_*.json here ("" = off)
   std::string transport = "sim";  ///< sim | sim-frames | udp
   double udp_time_scale = 0.0;    ///< udp pacing (0 = config default)
-  bool trajectories = false;  ///< force-enable trajectory capture
   /// Force-enable the sim-time health timeline even when the spec does
   /// not declare one (a default passive column set is used then).
   bool timeline = false;

@@ -1,6 +1,5 @@
-// The declarative experiment-spec API: JSON parse / validate /
-// round-trip, bad-input contract errors, axis resolution and a small
-// end-to-end run.
+// The declarative experiment-spec API: JSON parse / validate, bad-input
+// contract errors, axis resolution and small end-to-end runs.
 #include "runtime/spec.h"
 
 #include <gtest/gtest.h>
@@ -34,8 +33,9 @@ TEST(experiment_spec, parses_a_minimal_spec) {
   ASSERT_EQ(spec.rows.size(), 1u);
   EXPECT_EQ(spec.rows[0].key, "natted_pct");
   EXPECT_EQ(spec.rows[0].values, (std::vector<std::string>{"0", "50"}));
-  ASSERT_EQ(spec.probes.size(), 1u);
-  EXPECT_EQ(spec.probes[0].probe, "stale_pct");
+  EXPECT_TRUE(spec.shared_run);
+  ASSERT_EQ(spec.columns.size(), 1u);
+  EXPECT_EQ(spec.columns[0].probe, "stale_pct");
 }
 
 TEST(experiment_spec, range_sugar_expands_inclusively) {
@@ -129,82 +129,93 @@ TEST(experiment_spec, bad_inputs_throw_contract_errors) {
     "probes":[{"probe":"stale_pct"}],
     "workload":{"phases":[{"kind":"warp_drive"}]}})"),
                contract_error);
+  // a shared run has one config per row: no per-entry "set" or "sweep"
+  EXPECT_THROW(parse(R"({"name":"x",
+    "rows":[{"axis":"natted_pct","header":"h","values":[1]}],
+    "probes":[{"probe":"stale_pct","set":{"protocol":"nylon"}}]})"),
+               contract_error);
+  EXPECT_THROW(parse(R"({"name":"x",
+    "rows":[{"axis":"natted_pct","header":"h","values":[1]}],
+    "probes":[{"probe":"stale_pct","header":"{}",
+               "sweep":{"axis":"view_size","values":[8]}}]})"),
+               contract_error);
 }
 
-TEST(experiment_spec, taxonomy_fields_round_trip_through_json) {
-  // class/stat selectors, probes-mode ratio entries, checks, verdict,
-  // profiles, preamble/static and single_seed all survive a round trip.
-  for (const char* text : {R"({
-         "name": "tax",
-         "title": "taxonomy",
-         "single_seed": true,
-         "rows": [{"axis": "natted_pct", "header": "n", "values": [0, 50]}],
-         "probes": [
-           {"probe": "class_bytes_per_s", "class": "public", "header": "pub"},
-           {"probe": "class_bytes_per_s", "class": "natted", "header": "nat"},
-           {"header": "pub/nat", "ratio": [0, 1], "precision": 2},
-           {"probe": "in_degree", "stat": "cv", "header": "disp"}
-         ],
-         "checks": [
-           {"probe": "check_connected"},
-           {"probe": "check_no_dead_refs", "name": "freshness"}
-         ],
-         "verdict": {"pass": "ok", "fail": "FAILED"},
-         "profiles": {
-           "full": {"peers": 10000, "seeds": 30, "rounds": 600,
-                    "view_a": 15, "view_b": 27},
-           "quick": {"peers": 100, "vars": {"half_rounds": 2}}
-         },
-         "distributions": true
-       })",
-                           R"({
-         "name": "static_tax",
-         "preamble": ["# custom header", ""],
-         "static": true,
-         "rows": [{"axis": "%src_nat", "header": "src",
-                   "values": ["public", "SYM"]}],
-         "columns": [
-           {"header": "public", "set": {"%dst_nat": "public"},
-            "probe": "traversal_prescribed"},
-           {"header": "SYM", "set": {"%dst_nat": "SYM"},
-            "probe": "traversal_prescribed"}
-         ],
-         "verdict": {"pass": "all good", "fail": "broken"}
-       })"}) {
-    const experiment_spec once = parse(text);
-    const util::json dumped = spec_to_json(once);
-    const experiment_spec twice = spec_from_json(dumped);
-    EXPECT_EQ(dumped.dump_string(0), spec_to_json(twice).dump_string(0))
-        << "spec: " << text;
-  }
-}
+TEST(experiment_spec, fields_parse_into_one_entry_type) {
+  // "probes" entries, "columns" entries and "checks" entries are one
+  // spec_entry type: selectors, ratios, row echoes, headers and labels.
+  const experiment_spec shared = parse(R"({
+    "name": "tax",
+    "title": "taxonomy",
+    "single_seed": true,
+    "rows": [{"axis": "natted_pct", "header": "n", "values": [0, 50]}],
+    "probes": [
+      {"probe": "class_bytes_per_s", "class": "public", "header": "pub"},
+      {"probe": "class_bytes_per_s", "class": "natted", "header": "nat"},
+      {"header": "pub/nat", "ratio": [0, 1], "precision": 2},
+      {"probe": "in_degree", "stat": "cv"}
+    ],
+    "checks": [
+      {"probe": "check_connected"},
+      {"probe": "check_no_dead_refs", "name": "freshness"}
+    ],
+    "verdict": {"pass": "ok", "fail": "FAILED"},
+    "profiles": {
+      "full": {"peers": 10000, "seeds": 30, "rounds": 600,
+               "view_a": 15, "view_b": 27},
+      "quick": {"peers": 100, "vars": {"half_rounds": 2}}
+    }
+  })");
+  EXPECT_TRUE(shared.shared_run);
+  EXPECT_TRUE(shared.single_seed);
+  ASSERT_EQ(shared.columns.size(), 4u);
+  EXPECT_EQ(shared.columns[1].cls, "natted");
+  EXPECT_EQ(shared.columns[2].k, spec_entry::kind::ratio);
+  EXPECT_EQ(shared.columns[2].ratio_num, 0);
+  EXPECT_EQ(shared.columns[2].ratio_den, 1);
+  EXPECT_EQ(shared.columns[2].precision, 2);
+  EXPECT_EQ(shared.columns[3].stat, "cv");
+  EXPECT_EQ(shared.columns[3].header, "in_degree");  // defaults to the probe
+  ASSERT_EQ(shared.checks.size(), 2u);
+  EXPECT_EQ(shared.checks[0].header, "check_connected");
+  EXPECT_EQ(shared.checks[1].header, "freshness");
+  ASSERT_TRUE(shared.verdict.has_value());
+  EXPECT_EQ(shared.verdict->fail, "FAILED");
+  ASSERT_EQ(shared.profiles.size(), 2u);
+  EXPECT_EQ(shared.profiles[1].first, "quick");
+  EXPECT_EQ(shared.profiles[1].second.peers.value(), 100);
+  EXPECT_FALSE(shared.profiles[1].second.seeds.has_value());
 
-TEST(experiment_spec, round_trips_through_json) {
-  for (const char* text : {kMinimalSpec, R"({
-         "name": "full",
-         "title": "t",
-         "footer": ["# a", "# b"],
-         "base": {"protocol": "nylon", "natted_pct": 80},
-         "warmup": "half",
-         "split": {"axis": "view_size", "values": ["$view_a", "$view_b"],
-                   "section": "== view {} ==", "table_key": "view_{}"},
-         "rows": [{"axis": "hole_timeout_s", "header": "ttl",
-                   "values": [15, 90]}],
-         "columns": [
-           {"header": "a", "set": {"protocol": "reference"},
-            "probe": "all_bytes_per_s"},
-           {"header": "b", "probe": "all_bytes_per_s"},
-           {"header": "a/b", "ratio": [0, 1], "precision": 2},
-           {"header": "ttl", "row_value": true}
-         ],
-         "report_params": ["peers", "seeds"]
-       })"}) {
-    const experiment_spec once = parse(text);
-    const util::json dumped = spec_to_json(once);
-    const experiment_spec twice = spec_from_json(dumped);
-    EXPECT_EQ(dumped.dump_string(0), spec_to_json(twice).dump_string(0))
-        << "spec: " << text;
-  }
+  const experiment_spec per_column = parse(R"({
+    "name": "full",
+    "title": "t",
+    "footer": ["# a", "# b"],
+    "base": {"protocol": "nylon", "natted_pct": 80},
+    "warmup": "half",
+    "split": {"axis": "view_size", "values": ["$view_a", "$view_b"],
+              "section": "== view {} ==", "table_key": "view_{}"},
+    "rows": [{"axis": "hole_timeout_s", "header": "ttl",
+              "values": [15, 90]}],
+    "columns": [
+      {"header": "a", "set": {"protocol": "reference"},
+       "probe": "all_bytes_per_s"},
+      {"probe": "all_bytes_per_s"},
+      {"header": "a/b", "ratio": [0, 1], "precision": 2},
+      {"header": "ttl", "row_value": true}
+    ],
+    "report_params": ["peers", "seeds"]
+  })");
+  EXPECT_FALSE(per_column.shared_run);
+  ASSERT_TRUE(per_column.split.has_value());
+  EXPECT_EQ(per_column.split->table_key, "view_{}");
+  EXPECT_EQ(per_column.warmup, "half");
+  ASSERT_EQ(per_column.columns.size(), 4u);
+  EXPECT_EQ(per_column.columns[0].set[0],
+            (spec_setting{"protocol", std::string("reference")}));
+  EXPECT_EQ(per_column.columns[1].header, "all_bytes_per_s");
+  EXPECT_EQ(per_column.columns[3].k, spec_entry::kind::row_value);
+  EXPECT_EQ(per_column.report_params,
+            (std::vector<std::string>{"peers", "seeds"}));
 }
 
 TEST(experiment_spec, runs_end_to_end_and_is_deterministic) {
@@ -243,7 +254,7 @@ TEST(experiment_spec, runs_end_to_end_and_is_deterministic) {
             "60");
 }
 
-TEST(experiment_spec, timeline_parses_round_trips_and_validates) {
+TEST(experiment_spec, timeline_parses_and_validates) {
   const char* text = R"({
     "name": "tl",
     "rows": [{"axis": "natted_pct", "header": "%NAT", "values": [50]}],
@@ -256,9 +267,7 @@ TEST(experiment_spec, timeline_parses_round_trips_and_validates) {
   EXPECT_TRUE(spec.timeline.enabled);
   EXPECT_DOUBLE_EQ(spec.timeline.period_s, 2.5);
   ASSERT_EQ(spec.timeline.probes.size(), 4u);
-  const util::json dumped = spec_to_json(spec);
-  EXPECT_EQ(dumped.dump_string(0),
-            spec_to_json(spec_from_json(dumped)).dump_string(0));
+  EXPECT_EQ(spec.timeline.probes[3], "obs.arena_bytes_peak");
 }
 
 TEST(experiment_spec, timeline_misuse_is_a_validation_error) {
@@ -613,6 +622,37 @@ TEST(experiment_spec, per_class_and_ratio_probes_share_one_run) {
   EXPECT_NEAR(ratio, pub / nat, 0.01);  // table-precision rounding
 }
 
+TEST(experiment_spec, one_probe_column_is_the_same_study_in_either_mode) {
+  // One row pipeline: a single probe column is one sweep per row whether
+  // it is its own run ("columns") or the row's shared run ("probes"), and
+  // ratio / row_value entries compute the same in both modes.
+  const char* entries = R"([
+      {"probe": "stale_pct", "header": "stale %", "precision": 3},
+      {"header": "stale/stale", "ratio": [0, 0], "precision": 2},
+      {"header": "%NAT", "row_value": true}
+    ])";
+  const auto spec_text = [&](const char* mode) {
+    return std::string(R"({"name": "modes", "title": "t",
+      "rows": [{"axis": "natted_pct", "header": "%NAT", "values": [0, 60]}],
+      ")") + mode + "\": " + entries + "}";
+  };
+  spec_options opt;
+  opt.peers = 40;
+  opt.rounds = 4;
+  opt.seeds = 2;
+  opt.threads = 1;
+  std::ostringstream per_column_out;
+  const util::json per_column =
+      run_spec(parse(spec_text("columns")), opt, per_column_out);
+  std::ostringstream shared_out;
+  const util::json shared =
+      run_spec(parse(spec_text("probes")), opt, shared_out);
+  EXPECT_EQ(per_column_out.str(), shared_out.str());
+  EXPECT_EQ(per_column.dump_string(0), shared.dump_string(0));
+  const util::json& row = shared.at("table").at("rows").at(std::size_t{1});
+  EXPECT_EQ(row.at(std::size_t{3}).as_string(), "60");
+}
+
 TEST(experiment_spec, checks_emit_verdicts_and_exit_status) {
   const experiment_spec spec = parse(R"({
     "name": "checked", "title": "with checks",
@@ -821,37 +861,6 @@ TEST(experiment_spec, fig10_full_profile_pins_paper_scale_workload) {
   EXPECT_EQ(vars.at("rounds"), "1500");
 }
 
-TEST(experiment_spec, distributions_section_aggregates_summaries) {
-  const experiment_spec spec = parse(R"({
-    "name": "dists", "title": "distribution summaries",
-    "base": {"protocol": "nylon"},
-    "rows": [{"axis": "natted_pct", "header": "%NAT", "values": [50]}],
-    "probes": [
-      {"probe": "in_degree", "stat": "mean", "header": "in-deg"},
-      {"probe": "rvp_chain", "stat": "mean", "header": "RVPs", "precision": 2}
-    ],
-    "distributions": true
-  })");
-  spec_options opt;
-  opt.peers = 50;
-  opt.rounds = 8;
-  opt.seeds = 2;
-  opt.threads = 1;
-  std::ostringstream out;
-  const util::json doc = run_spec(spec, opt, out);
-  const util::json& dists = doc.at("distributions");
-  ASSERT_EQ(dists.size(), 2u);  // one per distribution entry
-  const util::json& in_deg = dists.at(std::size_t{0});
-  EXPECT_EQ(in_deg.at("probe").as_string(), "in_degree");
-  // Seed-aggregated moment stats, quantiles only where retained.
-  EXPECT_EQ(in_deg.at("count").at("values").size(), 2u);
-  EXPECT_GT(in_deg.at("mean").at("mean").as_double(), 0.0);
-  EXPECT_NE(in_deg.find("p90"), nullptr);
-  const util::json& chains = dists.at(std::size_t{1});
-  EXPECT_EQ(chains.at("probe").as_string(), "rvp_chain");
-  EXPECT_EQ(chains.find("p90"), nullptr);  // stream-only probe
-}
-
 TEST(experiment_spec, static_spec_runs_without_simulation) {
   const experiment_spec spec = parse(R"({
     "name": "static_mini",
@@ -959,11 +968,7 @@ TEST(experiment_spec, example_spec_files_parse_and_validate) {
         "udp_smoke"}) {
     const experiment_spec spec = load_spec_file(dir + name + ".json");
     EXPECT_EQ(spec.name, name);
-    // Round-trip stability for every shipped spec.
-    const util::json dumped = spec_to_json(spec);
-    EXPECT_EQ(spec_to_json(spec_from_json(dumped)).dump_string(0),
-              dumped.dump_string(0))
-        << name;
+    EXPECT_FALSE(spec.columns.empty()) << name;
   }
 }
 
