@@ -29,6 +29,13 @@
 // mean/max epoch width in sim-ms, events per epoch), which bench/trend.py
 // gates per shard count. A digest mismatch exits non-zero after the JSON
 // is written.
+//
+// Memory: every run reports the process's peak resident set
+// (`peak_rss_mb`, getrusage's ru_maxrss) and that peak divided by the
+// population (`rss_bytes_per_peer`). ru_maxrss never falls, so in a
+// sweep each K's figure is the peak through that K's run.
+#include <sys/resource.h>
+
 #include <cstdio>
 #include <iostream>
 #include <string>
@@ -63,6 +70,8 @@ struct run_outcome {
   std::uint64_t departed = 0;
   double biggest_cluster_pct = 0.0;
   std::string digest_hex;
+  double peak_rss_mb = 0.0;
+  double rss_bytes_per_peer = 0.0;
   obs::counter_snapshot counters;
   obs::epoch_profile profile;
 };
@@ -134,14 +143,20 @@ run_outcome run_world(runtime::experiment_config cfg, const run_params& p) {
   std::snprintf(digest_hex, sizeof digest_hex, "%016llx",
                 static_cast<unsigned long long>(digest));
   out.digest_hex = digest_hex;
+
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  const double rss_bytes = static_cast<double>(usage.ru_maxrss) * 1024.0;
+  out.peak_rss_mb = rss_bytes / (1024.0 * 1024.0);
+  out.rss_bytes_per_peer = rss_bytes / static_cast<double>(cfg.peer_count);
   return out;
 }
 
-/// Human-readable block for one run. Every line except the timings and
-/// the telemetry block is a pure function of (config, seed) — identical
-/// for any --shards K >= 1, which the sweep and the CI digest
-/// cross-check pin (state_digest covers views, traffic, drops and the
-/// event count in one value).
+/// Human-readable block for one run. Every line except the timings, the
+/// memory lines and the telemetry block is a pure function of (config,
+/// seed) — identical for any --shards K >= 1, which the sweep and the CI
+/// digest cross-check pin (state_digest covers views, traffic, drops and
+/// the event count in one value).
 void print_outcome(const run_outcome& r) {
   std::cout << "run_wall_s            " << r.run_s << "\n"
             << "events_executed       " << r.events << "\n"
@@ -151,7 +166,9 @@ void print_outcome(const run_outcome& r) {
             << "departed              " << r.departed << "\n"
             << "biggest_cluster_pct   " << r.biggest_cluster_pct << "\n"
             << "state_digest          " << r.digest_hex << "\n"
-            << "final_measure_s       " << r.measure_s << "\n";
+            << "final_measure_s       " << r.measure_s << "\n"
+            << "peak_rss_mb           " << r.peak_rss_mb << "\n"
+            << "rss_bytes_per_peer    " << r.rss_bytes_per_peer << "\n";
   if (r.shards > 0) {
     std::cout << "epochs                " << r.profile.epochs << "\n"
               << "epoch_width_ms_mean   " << r.profile.epoch_width_ms_mean
@@ -188,6 +205,8 @@ util::json outcome_json(const run_outcome& r) {
   results["biggest_cluster_pct"] = r.biggest_cluster_pct;
   results["state_digest"] = r.digest_hex;
   results["final_measure_s"] = r.measure_s;
+  results["peak_rss_mb"] = r.peak_rss_mb;
+  results["rss_bytes_per_peer"] = r.rss_bytes_per_peer;
   if (r.shards > 0) {
     results["epochs"] = r.profile.epochs;
     results["epoch_width_ms_mean"] = r.profile.epoch_width_ms_mean;
@@ -275,8 +294,9 @@ int main(int argc, char** argv) {
   // Profiles layer defaults under flags the user did not set: the CI
   // preset keeps smoke runs one flag long, and the million-peer preset
   // trades churn periods for population so a 1M-peer world stays
-  // tractable (expect a long single-threaded build and a ~60 GB
-  // footprint) while still exercising join/depart/rebind at scale.
+  // tractable (expect a long single-threaded build; at n=20000 this
+  // program peaks near 17.5 KB per peer, see README) while still
+  // exercising join/depart/rebind at scale.
   if (*profile_name == "ci") {
     if (!flags.provided("n")) *n = 2000;
     if (!flags.provided("warmup")) *warmup = 10;
@@ -369,6 +389,8 @@ int main(int argc, char** argv) {
       row["speedup_vs_first"] =
           base_eps > 0 ? r.events_per_sec / base_eps : 0.0;
       row["state_digest"] = r.digest_hex;
+      row["peak_rss_mb"] = r.peak_rss_mb;
+      row["rss_bytes_per_peer"] = r.rss_bytes_per_peer;
       if (r.shards > 0) {
         row["epochs"] = r.profile.epochs;
         row["epoch_width_ms_mean"] = r.profile.epoch_width_ms_mean;

@@ -23,12 +23,21 @@ sim-ms, events per epoch) so an epoch-cutting change shows up as a
 visible epoch-count shift, not just a throughput delta. Exits non-zero when any K in the newest run is more
 than --threshold percent below its per-K best; with a single file it
 just prints the rows.
+
+Memory rides the same gate, lower-is-better: a row's peak_rss_mb and
+rss_bytes_per_peer are held against the lowest recorded for the same
+(transport, shard count, n), and fail past --threshold percent above
+it. Documents written before bench_scale reported memory lack both keys
+and are simply left out of that comparison.
 """
 
 import argparse
 import json
 import os
 import sys
+
+# Per-row memory keys bench_scale writes (absent from older documents).
+MEMORY_FIELDS = ("peak_rss_mb", "rss_bytes_per_peer")
 
 
 def collect(paths):
@@ -94,6 +103,8 @@ def load_rows(path):
             "events_per_epoch": entry.get("events_per_epoch"),
             "imbalance": imbalance,
             "barrier_overhead_pct": barrier,
+            "peak_rss_mb": entry.get("peak_rss_mb"),
+            "rss_bytes_per_peer": entry.get("rss_bytes_per_peer"),
         }
 
     sweep = results.get("sweep")
@@ -135,7 +146,8 @@ def main():
 
     header = (f"{'run':<40} {'n':>8} {'carrier':>10} {'K':>3} "
               f"{'events':>12} {'events/s':>12} {'vs best':>9} {'epochs':>8} "
-              f"{'ep_w_ms':>8} {'ev/ep':>8} {'imbal':>7} {'barrier':>8}")
+              f"{'ep_w_ms':>8} {'ev/ep':>8} {'imbal':>7} {'barrier':>8} "
+              f"{'rss_MB':>8} {'B/peer':>8}")
     print(header)
     print("-" * len(header))
 
@@ -166,10 +178,14 @@ def main():
                  if row["imbalance"] is not None else f"{'-':>7}")
         barrier = (f"{row['barrier_overhead_pct']:>7.1f}%"
                    if row["barrier_overhead_pct"] is not None else f"{'-':>8}")
+        rss = (f"{row['peak_rss_mb']:>8.1f}"
+               if row["peak_rss_mb"] is not None else f"{'-':>8}")
+        per_peer = (f"{row['rss_bytes_per_peer']:>8.0f}"
+                    if row["rss_bytes_per_peer"] is not None else f"{'-':>8}")
         print(f"{label:<40} {row['n'] or 0:>8} {row['transport']:>10} "
               f"{k:>3} {row['events'] or 0:>12} "
               f"{eps:>12.0f} {vs_best} {epochs} {width} {ev_ep} {imbal} "
-              f"{barrier}")
+              f"{barrier} {rss} {per_peer}")
 
     # Warn-only balance gate (never affects the exit code): the newest
     # run's shard-balance profile is held against the best (lowest) ever
@@ -215,6 +231,29 @@ def main():
                       f"best for that combination ({eps:.0f} vs {best:.0f} "
                       f"events/s)", file=sys.stderr)
                 failed = True
+        # Memory, lower is better, keyed by n as well: peak RSS scales
+        # with the population.
+        lowest = {}
+        for row in rows:
+            for field in MEMORY_FIELDS:
+                if row[field] is None:
+                    continue
+                key = (gate_key(row), row["n"], field)
+                lowest[key] = min(lowest.get(key, row[field]), row[field])
+        for row in (r for r in rows if r["path"] == newest_path):
+            for field in MEMORY_FIELDS:
+                val = row[field]
+                best = lowest.get((gate_key(row), row["n"], field))
+                if val is None or not best:
+                    continue
+                rise = 100.0 * (val / best - 1.0)
+                if rise > args.threshold:
+                    print(f"REGRESSION: newest run at transport="
+                          f"{row['transport']} K={row['shards']} "
+                          f"n={row['n']} has {field}={val:.1f}, {rise:.1f}% "
+                          f"above the lowest recorded ({best:.1f})",
+                          file=sys.stderr)
+                    failed = True
         if failed:
             return 1
     return 0

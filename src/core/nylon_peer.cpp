@@ -21,21 +21,7 @@ nylon_peer::nylon_peer(net::transport& transport, util::rng& rng,
                      cfg.propagation = gossip::propagation_policy::pushpull;
                      return cfg;
                    }()),
-      routing_(transport.config().hole_timeout) {
-  // Pending maps track at most a few in-flight shuffles/punches, but
-  // starting at 32 slots keeps their growth out of `hash_rehashes`.
-  pending_requests_.reserve(16);
-  pending_punches_.reserve(16);
-}
-
-void nylon_peer::attach(net::node_id id) {
-  peer::attach(id);
-  // Public peers are the relay hubs — every OPEN_HOLE and relayed
-  // shuffle they forward touches a direct entry for its sender — so
-  // their steady-state table runs well past a natted peer's.
-  const std::size_t contacts = transport_.config().expected_contacts;
-  routing_.reserve(nat::is_natted(self().type) ? contacts : 2 * contacts);
-}
+      routing_(transport.config().hole_timeout) {}
 
 bool nylon_peer::directly_addressable(const node_descriptor& d) noexcept {
   return d.type == nat::nat_type::open || d.type == nat::nat_type::full_cone;

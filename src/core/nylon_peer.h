@@ -50,9 +50,6 @@ class nylon_peer : public gossip::peer {
   nylon_peer(net::transport& transport, util::rng& rng,
              gossip::protocol_config cfg);
 
-  /// Sizes the routing table by NAT class once the type is known.
-  void attach(net::node_id id) override;
-
   [[nodiscard]] const nylon_stats& nat_stats() const noexcept {
     return nylon_stats_;
   }

@@ -40,14 +40,6 @@ void routing_table::learn_route(net::node_id dest, net::node_id rvp,
   // acyclic.
 }
 
-void routing_table::refresh_routes_via(net::node_id rvp, sim::sim_time now) {
-  table_.for_each([&](net::node_id, route_entry& e) {
-    if (e.rvp == rvp && e.route_expires >= now) {
-      e.route_expires = now + hole_timeout_;
-    }
-  });
-}
-
 void routing_table::forget(net::node_id dest) { table_.erase(dest); }
 
 void routing_table::purge_expired(sim::sim_time now) {
@@ -55,8 +47,7 @@ void routing_table::purge_expired(sim::sim_time now) {
   // Queries reject expired entries themselves, so the sweep is pure
   // garbage collection — run it at most once per hole timeout. Lingering
   // expired entries are invisible (every read re-checks expiry) and
-  // bounded by one timeout's worth of learns, which the per-class
-  // `expected_contacts` reserve is sized to absorb (sweeping more often
+  // bounded by one timeout's worth of learns (sweeping more often
   // shrinks the table but costs more than the garbage does).
   if (now < last_sweep_ + hole_timeout_) return;
   last_sweep_ = now;

@@ -42,17 +42,11 @@ struct next_hop {
 class routing_table {
  public:
   /// `hole_timeout` is the NAT-rule lifetime (the paper's 90 s); direct
-  /// contacts and freshly learnt routes live at most this long.
-  /// `expected_contacts` pre-sizes the table for that many destinations
-  /// so steady-state learning never rehashes (obs `hash_rehashes`).
+  /// contacts and freshly learnt routes live at most this long. The
+  /// table grows on demand; `expected_contacts` is an optional capacity
+  /// hint and never changes what any query answers.
   explicit routing_table(sim::sim_time hole_timeout,
                          std::size_t expected_contacts = 0);
-
-  /// Pre-sizes the table like the constructor argument; call before
-  /// traffic starts (growing an empty table is free and uncounted).
-  void reserve(std::size_t expected_contacts) {
-    table_.reserve(expected_contacts);
-  }
 
   // --- updates ---------------------------------------------------------------
 
@@ -82,13 +76,6 @@ class routing_table {
   /// the forwarder bounds the damage.)
   void learn_route(net::node_id dest, net::node_id rvp, sim::sim_time expires,
                    sim::sim_time now, bool authoritative = false);
-
-  /// §4: "TTLs are ... updated every time a message from one RVP stored
-  /// in the routing table is received" — refreshes every chained route
-  /// that goes through `rvp`. Chains therefore stay alive per-hop as long
-  /// as traffic keeps flowing along them, which is also what keeps the
-  /// underlying NAT holes open.
-  void refresh_routes_via(net::node_id rvp, sim::sim_time now);
 
   /// Drops everything known about `dest` (e.g. presumed dead).
   void forget(net::node_id dest);

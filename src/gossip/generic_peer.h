@@ -14,11 +14,7 @@ class generic_peer : public peer {
  public:
   generic_peer(net::transport& transport, util::rng& rng,
                protocol_config cfg)
-      : peer(transport, rng, cfg) {
-    // A handful of in-flight shuffles at most; pre-sizing keeps the
-    // map's growth out of obs `hash_rehashes`.
-    pending_.reserve(16);
-  }
+      : peer(transport, rng, cfg) {}
 
  protected:
   void initiate_shuffle() override;

@@ -39,10 +39,8 @@ class peer : public net::endpoint_handler, public peer_sampling_service {
   peer(const peer&) = delete;
   peer& operator=(const peer&) = delete;
 
-  /// Binds identity after transport::add_node assigned an id. Virtual so
-  /// subclasses can size type-dependent state (Nylon's routing table is
-  /// reserved by NAT class here — the type is unknown at construction).
-  virtual void attach(net::node_id id);
+  /// Binds identity after transport::add_node assigned an id.
+  void attach(net::node_id id);
 
   /// Schedules the periodic shuffle, first firing at `first_shuffle`
   /// (scenarios randomize the phase so peers do not fire in lockstep).

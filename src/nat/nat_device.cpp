@@ -17,7 +17,7 @@ nat_device::nat_device(nat_type type, net::ip_address public_ip,
   NYLON_EXPECTS(hole_timeout > 0);
   // Cone devices own one public port; symmetric ones mint a port per
   // session, so the reverse index tracks the session table's size.
-  port_owner_.reserve(type == nat_type::symmetric ? expected_rules : 1);
+  if (type == nat_type::symmetric) port_owner_.reserve(expected_rules);
 }
 
 std::uint32_t nat_device::client_for(const net::endpoint& private_src) {

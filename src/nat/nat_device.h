@@ -53,11 +53,10 @@ struct predicted_source {
 /// (deployments in this repo use one peer per device).
 class nat_device {
  public:
-  /// `type` must be a natted type; `hole_timeout` > 0.
-  /// `expected_rules` pre-sizes each client's rule/session tables (and
-  /// the public-port reverse index) so steady-state traffic never
-  /// rehashes them (obs `hash_rehashes`; peak tracked by
-  /// `nat_table_peak`).
+  /// `type` must be a natted type; `hole_timeout` > 0. The rule/session
+  /// tables grow on demand; `expected_rules` is an optional capacity hint
+  /// for each client's tables (and the public-port reverse index) and
+  /// never changes what the device translates or admits.
   nat_device(nat_type type, net::ip_address public_ip,
              sim::sim_time hole_timeout, std::size_t expected_rules = 0);
 

@@ -62,9 +62,6 @@ transport::transport(sim::scheduler& sched, util::rng& rng,
   counters_.resize(1);
   leases_.resize(1);
   node_shards_.resize(1);
-  // Rebinds trickle in over a whole run; pre-size the overflow routing
-  // table so steady state never rehashes (obs `hash_rehashes`).
-  rebound_owner_.reserve(1024);
 }
 
 void transport::set_codec(const frame_codec* codec) {
@@ -126,9 +123,8 @@ node_id transport::add_node(nat::nat_type type, endpoint_handler& handler) {
   if (nat::is_natted(type)) {
     hot.private_ep = endpoint{ip_address{private_ip_base + id + 1},
                               private_port};
-    device =
-        std::make_unique<nat::nat_device>(type, public_ip, cfg_.hole_timeout,
-                                          cfg_.expected_nat_rules);
+    device = std::make_unique<nat::nat_device>(type, public_ip,
+                                               cfg_.hole_timeout);
     hot.device = device.get();
     hot.advertised = device->advertised_endpoint(hot.private_ep);
   } else {
@@ -205,8 +201,7 @@ endpoint transport::replace_device(node_id id, nat::nat_type type) {
   hot.public_ip = new_ip;
   hot.type = type;
   auto device =
-      std::make_unique<nat::nat_device>(type, new_ip, cfg_.hole_timeout,
-                                        cfg_.expected_nat_rules);
+      std::make_unique<nat::nat_device>(type, new_ip, cfg_.hole_timeout);
   hot.device = device.get();
   hot.advertised = device->advertised_endpoint(hot.private_ep);
   node_shards_[shard_of_node(id)].device_owner[slot_of(id)] =

@@ -93,20 +93,6 @@ struct transport_config {
   sim::sim_time hole_timeout = sim::seconds(90);
   /// Independent per-datagram loss probability (paper: 0).
   double loss_rate = 0.0;
-  /// Expected distinct routing-table destinations per *natted* peer over
-  /// one hole timeout (public peers, the relay hubs, reserve 2× this —
-  /// see nylon_peer::attach). Sizes each routing table up front so
-  /// steady-state learning never rehashes: obs `hash_rehashes` reads 0
-  /// over a whole bench run, with the actual high-water mark tracked by
-  /// `route_table_peak`. The default covers the paper's (15, healer,
-  /// 5 s) profile with headroom — the measured peak is ~780 (public) and
-  /// roughly flat in deployment size, bounded by how many destinations
-  /// one peer can learn in 90 s. The reserved capacity matches what busy
-  /// tables organically grow to, so it is close to memory-neutral.
-  std::size_t expected_contacts = 512;
-  /// Same idea for each NAT device's filtering-rule / symmetric-session
-  /// tables (`nat_table_peak`; measured peak ~100, also flat in n).
-  std::size_t expected_nat_rules = 192;
 };
 
 /// Per-node traffic counters (Figs. 7 and 8 are computed from these).

@@ -12,6 +12,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -43,12 +44,12 @@ class flat_hash_map {
   [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
 
   void clear() noexcept {
-    for (slot& s : slots_) s.used = false;
+    for (slot& s : slots_) vacate(s);
     size_ = 0;
   }
 
-  /// Pre-sizes the table for `count` elements (avoids the growth/rehash
-  /// chain when the expected population is known).
+  /// Pre-sizes the table for `count` elements. Optional: tables grow on
+  /// demand, and capacity never changes what a lookup answers.
   void reserve(std::size_t count) {
     if (count > 0) grow(count);
   }
@@ -210,7 +211,15 @@ class flat_hash_map {
         i = j;
       }
     }
-    slots_[i].used = false;
+    vacate(slots_[i]);
+  }
+
+  /// Marks `s` empty and drops what its value holds, so a value that owns
+  /// something (a payload lease) is released with its entry rather than
+  /// when the slot is next reused.
+  static void vacate(slot& s) noexcept {
+    s.used = false;
+    if constexpr (!std::is_trivially_destructible_v<V>) s.value = V{};
   }
 
   std::vector<slot> slots_;

@@ -141,6 +141,8 @@ net::arena_ref<const encoded_frame> encode(const gossip::gossip_message& msg) {
   auto* frame = ::new (memory)
       encoded_frame(msg.wire_kind(), static_cast<std::uint32_t>(msg.wire_size()),
                     static_cast<std::uint32_t>(frame_bytes));
+  // Owned from here on, so a contract failure below releases the block.
+  auto owned = net::arena_ref<const encoded_frame>::adopt(frame);
   auto* out = const_cast<std::byte*>(frame->bytes().data());
 
   std::byte* p = out;
@@ -177,7 +179,7 @@ net::arena_ref<const encoded_frame> encode(const gossip::gossip_message& msg) {
   const std::uint32_t checksum = frame_checksum({out, frame_bytes});
   std::byte* c = out + 8;
   put32(c, checksum);
-  return net::arena_ref<const encoded_frame>::adopt(frame);
+  return owned;
 }
 
 decode_result decode(std::span<const std::byte> frame) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "util/contracts.h"
+#include "util/rng.h"
 
 namespace nylon::core {
 namespace {
@@ -145,19 +146,6 @@ TEST(routing_table, forget_removes_both_layers) {
   EXPECT_TRUE(rt.next_rvp(3, 0).has_value());
 }
 
-TEST(routing_table, refresh_routes_via_extends_chains) {
-  routing_table rt(timeout);
-  rt.touch_direct(3, ep1, 0);
-  rt.learn_route(9, 3, 10'000, 0);
-  rt.refresh_routes_via(3, 5'000);
-  rt.touch_direct(3, ep1, 60'000);
-  EXPECT_TRUE(rt.next_rvp(9, 60'000).has_value());
-  // But an already-expired route is not resurrected.
-  rt.learn_route(8, 3, 1'000, 0);
-  rt.refresh_routes_via(3, 70'000);
-  EXPECT_FALSE(rt.next_rvp(8, 70'000).has_value());
-}
-
 TEST(routing_table, counts_only_live_entries) {
   routing_table rt(timeout);
   rt.touch_direct(1, ep1, 0);
@@ -165,6 +153,74 @@ TEST(routing_table, counts_only_live_entries) {
   rt.learn_route(9, 1, 30'000, 0);
   EXPECT_EQ(rt.direct_count(100'000), 1u);
   EXPECT_EQ(rt.route_count(100'000), 0u);
+}
+
+/// Capacity is not state: a table pre-sized by the constructor hint and
+/// one that grows on demand through several doublings answer every query
+/// identically under the same operation sequence.
+TEST(routing_table, capacity_hint_never_changes_answers) {
+  constexpr net::node_id keys = 1'000;
+  routing_table hinted(timeout, 1024);
+  routing_table grown(timeout);
+  util::rng r(14);
+  sim::sim_time now = 0;
+  for (int op = 1; op <= 24'000; ++op) {
+    now += static_cast<sim::sim_time>(r.uniform(0, 40));
+    const auto a = static_cast<net::node_id>(r.uniform(0, keys - 1));
+    const auto b = static_cast<net::node_id>(r.uniform(0, keys - 1));
+    switch (r.uniform(0, 7)) {
+      case 0:
+      case 1:
+      case 2: {
+        const net::endpoint addr{net::ip_address{a + 1},
+                                 static_cast<std::uint32_t>(1000 + op % 8)};
+        hinted.touch_direct(a, addr, now);
+        grown.touch_direct(a, addr, now);
+        break;
+      }
+      case 3:
+      case 4:
+      case 5: {
+        if (a == b) break;
+        const sim::sim_time expires =
+            now + static_cast<sim::sim_time>(r.uniform(0, timeout));
+        const bool authoritative = r.bernoulli(0.2);
+        hinted.learn_route(a, b, expires, now, authoritative);
+        grown.learn_route(a, b, expires, now, authoritative);
+        break;
+      }
+      case 6:
+        hinted.forget(a);
+        grown.forget(a);
+        break;
+      case 7:
+        hinted.purge_expired(now);
+        grown.purge_expired(now);
+        break;
+    }
+    if (op % 3'000 != 0) continue;
+    for (const sim::sim_time at : {now, now + sim::seconds(30)}) {
+      ASSERT_EQ(hinted.direct_count(at), grown.direct_count(at)) << op;
+      ASSERT_EQ(hinted.route_count(at), grown.route_count(at)) << op;
+      for (net::node_id d = 0; d < keys; ++d) {
+        const auto h = hinted.next_rvp(d, at);
+        const auto g = grown.next_rvp(d, at);
+        ASSERT_EQ(h.has_value(), g.has_value()) << op << " dest " << d;
+        if (h.has_value()) {
+          EXPECT_EQ(h->rvp, g->rvp);
+          EXPECT_EQ(h->address, g->address);
+        }
+        const auto hs = hinted.resolve(d, at);
+        const auto gs = grown.resolve(d, at);
+        EXPECT_EQ(hs.reachable, gs.reachable);
+        EXPECT_EQ(hs.ttl, gs.ttl);
+        EXPECT_EQ(hinted.remaining_ttl(d, at), grown.remaining_ttl(d, at));
+      }
+    }
+  }
+  // The unhinted table must have grown through several doublings; a
+  // sequence that stayed small would prove nothing.
+  EXPECT_GT(grown.direct_count(now) + grown.route_count(now), 300u);
 }
 
 }  // namespace

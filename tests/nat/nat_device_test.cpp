@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+
 #include "util/contracts.h"
+#include "util/rng.h"
 
 namespace nylon::nat {
 namespace {
@@ -274,6 +278,65 @@ TEST(nat_device, binding_lapse_clears_rules) {
   EXPECT_EQ(dev.filter_inbound(pub, remote_a, 3 * timeout + 1), std::nullopt);
   EXPECT_EQ(dev.filter_inbound(pub, remote_b, 3 * timeout + 1), priv);
 }
+
+// --- capacity independence ---------------------------------------------------
+
+/// Capacity is not state: a device whose tables are pre-sized by the
+/// constructor hint and one whose tables grow on demand through several
+/// doublings translate, admit and count identically under the same
+/// packet sequence.
+class capacity_hint_test : public ::testing::TestWithParam<nat_type> {};
+
+TEST_P(capacity_hint_test, hint_never_changes_answers) {
+  nat_device hinted(GetParam(), nat_ip, timeout, 192);
+  nat_device grown(GetParam(), nat_ip, timeout);
+  ASSERT_EQ(hinted.advertised_endpoint(priv), grown.advertised_endpoint(priv));
+  util::rng r(14);
+  const auto random_remote = [&] {
+    return endpoint{ip_address{0x0B000000u + static_cast<std::uint32_t>(
+                                                 r.uniform(0, 399))},
+                    static_cast<std::uint32_t>(4000 + r.uniform(0, 1))};
+  };
+  // Last public source each remote saw, so inbound packets can target
+  // live symmetric sessions as well as stale and made-up ports.
+  std::map<endpoint, endpoint> mapped;
+  std::size_t peak_rules = 0;
+  sim::sim_time now = 0;
+  for (int op = 1; op <= 20'000; ++op) {
+    now += static_cast<sim::sim_time>(r.uniform(0, 60));
+    const endpoint remote = random_remote();
+    const std::uint64_t kind = r.uniform(0, 7);
+    if (kind < 4) {
+      const endpoint pub = hinted.translate_outbound(priv, remote, now);
+      ASSERT_EQ(pub, grown.translate_outbound(priv, remote, now)) << op;
+      mapped[remote] = pub;
+    } else if (kind < 7) {
+      endpoint dst{nat_ip, static_cast<std::uint32_t>(r.uniform(1024, 1100))};
+      const auto known = mapped.find(random_remote());
+      if (known != mapped.end() && r.bernoulli(0.8)) dst = known->second;
+      EXPECT_EQ(hinted.filter_inbound(dst, remote, now),
+                grown.filter_inbound(dst, remote, now))
+          << op;
+    } else {
+      hinted.purge_expired(now);
+      grown.purge_expired(now);
+    }
+    peak_rules = std::max(peak_rules, grown.active_rule_count(now));
+    if (op % 2'000 != 0) continue;
+    for (const sim::sim_time at : {now, now + sim::seconds(30)}) {
+      ASSERT_EQ(hinted.active_rule_count(at), grown.active_rule_count(at))
+          << op;
+    }
+  }
+  // The unhinted tables must have grown past the hint; a sequence that
+  // stayed small would prove nothing.
+  EXPECT_GT(peak_rules, 192u);
+}
+
+INSTANTIATE_TEST_SUITE_P(filtering_types, capacity_hint_test,
+                         ::testing::Values(nat_type::restricted_cone,
+                                           nat_type::port_restricted_cone,
+                                           nat_type::symmetric));
 
 }  // namespace
 }  // namespace nylon::nat

@@ -6,6 +6,7 @@
 #include <map>
 #include <vector>
 
+#include "net/payload_arena.h"
 #include "util/rng.h"
 
 namespace nylon::util {
@@ -117,6 +118,83 @@ TEST(flat_hash, matches_reference_model_under_random_ops) {
   for (const auto& [k, v] : ref) {
     ASSERT_NE(m.find(k), nullptr);
     EXPECT_EQ(*m.find(k), v);
+  }
+}
+
+/// Values that own payload leases (the peers' pending-request maps) keep
+/// every refcount exact while the table grows, back-shifts on erase and
+/// sweeps: an erased entry releases its lease at once, not when its slot
+/// is next reused.
+TEST(flat_hash, lease_values_keep_refcounts_exact_across_growth_and_erase) {
+  using lease = net::arena_ref<const std::uint64_t>;
+  struct pending {
+    lease sent;
+    std::uint64_t payload = 0;
+  };
+  using table = flat_hash_map<std::uint32_t, pending>;
+  constexpr std::uint64_t payloads = 64;
+  std::vector<lease> owners;
+  for (std::uint64_t i = 0; i < payloads; ++i) {
+    owners.push_back(net::make_payload<std::uint64_t>(i));
+  }
+  std::map<std::uint32_t, std::uint64_t> ref;  // key -> payload index
+  const auto refs_of = [&](std::uint64_t i) {
+    return net::arena_detail::header_of(owners[i].get())->refs;
+  };
+  const auto expect_exact = [&](const table& m) {
+    ASSERT_EQ(m.size(), ref.size());
+    std::vector<std::uint32_t> held(payloads, 1);  // the owners' own refs
+    for (const auto& [key, i] : ref) {
+      ++held[i];
+      const pending* found = m.find(key);
+      ASSERT_NE(found, nullptr);
+      EXPECT_EQ(found->payload, i);
+      EXPECT_EQ(found->sent.get(), owners[i].get());
+    }
+    for (std::uint64_t i = 0; i < payloads; ++i) {
+      ASSERT_EQ(refs_of(i), held[i]) << "payload " << i;
+    }
+  };
+  rng r(14);
+  const auto insert_some = [&](table& m, int count) {
+    for (int n = 0; n < count; ++n) {
+      const auto key = static_cast<std::uint32_t>(r.uniform(0, 999));
+      const std::uint64_t i = r.uniform(0, payloads - 1);
+      m.insert_or_get(key) = pending{owners[i], i};
+      ref[key] = i;
+    }
+  };
+  for (int round = 0; round < 4; ++round) {
+    {
+      // A fresh table each round, so growth (8 -> 512 slots) repeats.
+      table m;
+      insert_some(m, 200);
+      expect_exact(m);
+      // Erase most keys one at a time: backward shifts move leases.
+      for (std::uint32_t key = 0; key < 1000; ++key) {
+        if (r.bernoulli(0.7)) {
+          EXPECT_EQ(m.erase(key), ref.erase(key) > 0);
+        }
+      }
+      expect_exact(m);
+      // Grow again (to 1024 slots) with the survivors' leases moved.
+      insert_some(m, 400);
+      expect_exact(m);
+      // Sweep by payload, like the pending maps' age-based prune.
+      const std::uint64_t cut = r.uniform(0, payloads - 1);
+      m.erase_if([&](std::uint32_t, const pending& p) {
+        return p.payload < cut;
+      });
+      std::erase_if(ref, [&](const auto& kv) { return kv.second < cut; });
+      expect_exact(m);
+      m.clear();
+      ref.clear();
+      expect_exact(m);
+      insert_some(m, 200);
+      expect_exact(m);
+    }
+    ref.clear();  // the table's destructor released the rest
+    for (std::uint64_t i = 0; i < payloads; ++i) ASSERT_EQ(refs_of(i), 1u);
   }
 }
 
