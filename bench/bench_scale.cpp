@@ -30,17 +30,31 @@
 // gates per shard count. A digest mismatch exits non-zero after the JSON
 // is written.
 //
-// Memory: every run reports the process's peak resident set
-// (`peak_rss_mb`, getrusage's ru_maxrss) and that peak divided by the
-// population (`rss_bytes_per_peer`). ru_maxrss never falls, so in a
-// sweep each K's figure is the peak through that K's run.
+// Memory: every run reports its peak resident set (`peak_rss_mb`) and
+// that peak divided by the population (`rss_bytes_per_peer`). Each run
+// first hands the heap pages earlier runs freed back to the kernel
+// (malloc_trim), resets the kernel's high-water mark (writing 5 to
+// /proc/self/clear_refs) and at its end reads VmHWM, so in a sweep each
+// K's figure covers that K's run alone. Where the reset is refused the
+// figure falls back to getrusage's ru_maxrss, the peak through that K's
+// run.
+// Each run also reports, from a walk over the universe at its end, the
+// bytes per peer the routing tables (`route_table_bytes_per_peer`) and
+// NAT tables (`nat_table_bytes_per_peer`) hold allocated.
+#include <fcntl.h>
 #include <sys/resource.h>
+#include <unistd.h>
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
 
 #include <cstdio>
+#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
+#include "core/nylon_peer.h"
 #include "metrics/graph_analysis.h"
 #include "obs/counters.h"
 #include "obs/heartbeat.h"
@@ -72,6 +86,8 @@ struct run_outcome {
   std::string digest_hex;
   double peak_rss_mb = 0.0;
   double rss_bytes_per_peer = 0.0;
+  double route_table_bytes_per_peer = 0.0;
+  double nat_table_bytes_per_peer = 0.0;
   obs::counter_snapshot counters;
   obs::epoch_profile profile;
 };
@@ -85,6 +101,36 @@ struct run_params {
   bool trace = false;
 };
 
+/// Resets the kernel's peak-RSS mark (VmHWM) to the current RSS; false
+/// when /proc refuses the write. Heap pages an earlier run freed are
+/// returned to the kernel first, so they do not count against this one.
+bool reset_peak_rss() {
+#ifdef __GLIBC__
+  malloc_trim(0);
+#endif
+  const int fd = ::open("/proc/self/clear_refs", O_WRONLY);
+  if (fd < 0) return false;
+  const bool ok = ::write(fd, "5", 1) == 1;
+  ::close(fd);
+  return ok;
+}
+
+/// Peak resident bytes: VmHWM when `since_reset` (the peak since
+/// reset_peak_rss) and readable, else ru_maxrss (the process's peak).
+double peak_rss_bytes(bool since_reset) {
+  if (since_reset) {
+    std::ifstream status("/proc/self/status");
+    for (std::string line; std::getline(status, line);) {
+      if (line.rfind("VmHWM:", 0) == 0) {
+        return std::stod(line.substr(6)) * 1024.0;  // "VmHWM:  N kB"
+      }
+    }
+  }
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return static_cast<double>(usage.ru_maxrss) * 1024.0;
+}
+
 /// Builds one universe, drives the workload program over it, measures
 /// connectivity once at the end. Counters are scoped to the measured
 /// run: universe construction has its own wall-clock line and would
@@ -92,6 +138,7 @@ struct run_params {
 run_outcome run_world(runtime::experiment_config cfg, const run_params& p) {
   run_outcome out;
   out.shards = static_cast<std::int64_t>(cfg.shards);
+  const bool fresh_peak = reset_peak_rss();
 
   util::wall_timer t_build;
   runtime::scenario world(cfg);
@@ -144,11 +191,23 @@ run_outcome run_world(runtime::experiment_config cfg, const run_params& p) {
                 static_cast<unsigned long long>(digest));
   out.digest_hex = digest_hex;
 
-  rusage usage{};
-  getrusage(RUSAGE_SELF, &usage);
-  const double rss_bytes = static_cast<double>(usage.ru_maxrss) * 1024.0;
+  const auto peers = static_cast<double>(cfg.peer_count);
+  const double rss_bytes = peak_rss_bytes(fresh_peak);
   out.peak_rss_mb = rss_bytes / (1024.0 * 1024.0);
-  out.rss_bytes_per_peer = rss_bytes / static_cast<double>(cfg.peer_count);
+  out.rss_bytes_per_peer = rss_bytes / peers;
+
+  std::size_t route_bytes = 0;
+  std::size_t nat_bytes = 0;
+  for (const auto& p : world.peers()) {
+    if (const auto* np = dynamic_cast<const core::nylon_peer*>(p.get())) {
+      route_bytes += np->routes().bytes();
+    }
+    if (const nat::nat_device* dev = world.transport().device_of(p->id())) {
+      nat_bytes += dev->bytes();
+    }
+  }
+  out.route_table_bytes_per_peer = static_cast<double>(route_bytes) / peers;
+  out.nat_table_bytes_per_peer = static_cast<double>(nat_bytes) / peers;
   return out;
 }
 
@@ -168,7 +227,11 @@ void print_outcome(const run_outcome& r) {
             << "state_digest          " << r.digest_hex << "\n"
             << "final_measure_s       " << r.measure_s << "\n"
             << "peak_rss_mb           " << r.peak_rss_mb << "\n"
-            << "rss_bytes_per_peer    " << r.rss_bytes_per_peer << "\n";
+            << "rss_bytes_per_peer    " << r.rss_bytes_per_peer << "\n"
+            << "route_table_bytes_per_peer " << r.route_table_bytes_per_peer
+            << "\n"
+            << "nat_table_bytes_per_peer   " << r.nat_table_bytes_per_peer
+            << "\n";
   if (r.shards > 0) {
     std::cout << "epochs                " << r.profile.epochs << "\n"
               << "epoch_width_ms_mean   " << r.profile.epoch_width_ms_mean
@@ -207,6 +270,8 @@ util::json outcome_json(const run_outcome& r) {
   results["final_measure_s"] = r.measure_s;
   results["peak_rss_mb"] = r.peak_rss_mb;
   results["rss_bytes_per_peer"] = r.rss_bytes_per_peer;
+  results["route_table_bytes_per_peer"] = r.route_table_bytes_per_peer;
+  results["nat_table_bytes_per_peer"] = r.nat_table_bytes_per_peer;
   if (r.shards > 0) {
     results["epochs"] = r.profile.epochs;
     results["epoch_width_ms_mean"] = r.profile.epoch_width_ms_mean;
@@ -295,7 +360,7 @@ int main(int argc, char** argv) {
   // preset keeps smoke runs one flag long, and the million-peer preset
   // trades churn periods for population so a 1M-peer world stays
   // tractable (expect a long single-threaded build; at n=20000 this
-  // program peaks near 17.5 KB per peer, see README) while still
+  // program peaks near 11 KB per peer, see README) while still
   // exercising join/depart/rebind at scale.
   if (*profile_name == "ci") {
     if (!flags.provided("n")) *n = 2000;

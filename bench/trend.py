@@ -27,8 +27,11 @@ just prints the rows.
 Memory rides the same gate, lower-is-better: a row's peak_rss_mb and
 rss_bytes_per_peer are held against the lowest recorded for the same
 (transport, shard count, n), and fail past --threshold percent above
-it. Documents written before bench_scale reported memory lack both keys
-and are simply left out of that comparison.
+it. bench_scale resets the kernel's peak-RSS mark before each K, so a
+sweep row's peak covers that K's run alone; where the reset is refused
+it is the process's peak through that K (cumulative). Documents written
+before bench_scale reported memory lack both keys and are simply left
+out of that comparison.
 """
 
 import argparse

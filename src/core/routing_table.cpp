@@ -16,24 +16,26 @@ routing_table::routing_table(sim::sim_time hole_timeout,
 
 void routing_table::touch_direct(net::node_id p, const net::endpoint& addr,
                                  sim::sim_time now) {
+  const sim::sim_time expires = now + hole_timeout_;
+  const std::uint32_t stamp = dead_from(expires);
   route_entry& e = table_.insert_or_get(p);
   obs::count_peak(obs::counter::route_table_peak, table_.size());
   e.direct_address = addr;
-  e.direct_expires = now + hole_timeout_;
-  note_expiry(e.direct_expires);
+  e.direct_dead_from = stamp;
+  note_expiry(expires);
 }
 
 void routing_table::learn_route(net::node_id dest, net::node_id rvp,
                                 sim::sim_time expires, sim::sim_time now,
                                 bool authoritative) {
   NYLON_EXPECTS(dest != rvp);
+  const std::uint32_t stamp = dead_from(expires);
   route_entry& e = table_.insert_or_get(dest);
   obs::count_peak(obs::counter::route_table_peak, table_.size());
-  const bool existing_valid =
-      e.rvp != net::nil_node && e.route_expires >= now;
-  if (!existing_valid || (authoritative && expires > e.route_expires)) {
+  if (!route_live(e, now) ||
+      (authoritative && expires > expiry_of(e.route_dead_from))) {
     e.rvp = rvp;
-    e.route_expires = expires;
+    e.route_dead_from = stamp;
     note_expiry(expires);
   }
   // else: first-giver-wins — see the header for why this keeps chains
@@ -56,21 +58,21 @@ void routing_table::purge_expired(sim::sim_time now) {
     // An entry survives while either layer is live; the dead layer is
     // reset to its vacant state (what erasing from the old per-layer map
     // did), so introspection never counts it again.
-    bool live = false;
-    if (e.direct_expires >= now) {
-      next = std::min(next, e.direct_expires);
-      live = true;
+    bool live_layer = false;
+    if (live(e.direct_dead_from, now)) {
+      next = std::min(next, expiry_of(e.direct_dead_from));
+      live_layer = true;
     } else {
-      e.direct_expires = -1;
+      e.direct_dead_from = 0;
     }
-    if (e.rvp != net::nil_node && e.route_expires >= now) {
-      next = std::min(next, e.route_expires);
-      live = true;
+    if (route_live(e, now)) {
+      next = std::min(next, expiry_of(e.route_dead_from));
+      live_layer = true;
     } else {
       e.rvp = net::nil_node;
-      e.route_expires = 0;
+      e.route_dead_from = 0;
     }
-    return !live;
+    return !live_layer;
   });
   next_expiry_ = next;
 }
@@ -83,8 +85,8 @@ std::optional<next_hop> routing_table::next_rvp(net::node_id dest,
                                                 sim::sim_time now) const {
   const route_entry* e = table_.find(dest);
   if (e == nullptr) return std::nullopt;
-  if (e->direct_expires >= now) return next_hop{dest, e->direct_address};
-  if (e->rvp == net::nil_node || e->route_expires < now) return std::nullopt;
+  if (live(e->direct_dead_from, now)) return next_hop{dest, e->direct_address};
+  if (!route_live(*e, now)) return std::nullopt;
   const route_entry* hop = live_direct(e->rvp, now);
   if (hop == nullptr) {
     // The RVP itself is no longer reachable; the chain is broken here.
@@ -95,32 +97,29 @@ std::optional<next_hop> routing_table::next_rvp(net::node_id dest,
 
 sim::sim_time routing_table::remaining_ttl(net::node_id dest,
                                            sim::sim_time now) const {
-  const route_entry* e = table_.find(dest);
-  if (e == nullptr) return 0;
-  if (e->direct_expires >= now) return e->direct_expires - now;
-  if (e->rvp == net::nil_node || e->route_expires < now) return 0;
-  const route_entry* hop = live_direct(e->rvp, now);
-  if (hop == nullptr) return 0;
-  // Minimum along the chain as seen from here: the learnt expiry already
-  // carries the upstream minimum; the local link to the RVP caps it.
-  return std::min(e->route_expires, hop->direct_expires) - now;
+  return resolve(dest, now).ttl;
 }
 
 routing_table::route_status routing_table::resolve(net::node_id dest,
                                                    sim::sim_time now) const {
   const route_entry* e = table_.find(dest);
   if (e == nullptr) return {};
-  if (e->direct_expires >= now) return {true, e->direct_expires - now};
-  if (e->rvp == net::nil_node || e->route_expires < now) return {};
+  if (live(e->direct_dead_from, now)) {
+    return {true, expiry_of(e->direct_dead_from) - now};
+  }
+  if (!route_live(*e, now)) return {};
   const route_entry* hop = live_direct(e->rvp, now);
   if (hop == nullptr) return {};
-  return {true, std::min(e->route_expires, hop->direct_expires) - now};
+  // Minimum along the chain as seen from here: the learnt expiry already
+  // carries the upstream minimum; the local link to the RVP caps it.
+  return {true,
+          expiry_of(std::min(e->route_dead_from, hop->direct_dead_from)) - now};
 }
 
 std::size_t routing_table::direct_count(sim::sim_time now) const {
   std::size_t count = 0;
   table_.for_each([&](net::node_id, const route_entry& e) {
-    if (e.direct_expires >= now) ++count;
+    if (live(e.direct_dead_from, now)) ++count;
   });
   return count;
 }
@@ -128,7 +127,7 @@ std::size_t routing_table::direct_count(sim::sim_time now) const {
 std::size_t routing_table::route_count(sim::sim_time now) const {
   std::size_t count = 0;
   table_.for_each([&](net::node_id, const route_entry& e) {
-    if (e.rvp != net::nil_node && e.route_expires >= now) ++count;
+    if (route_live(e, now)) ++count;
   });
   return count;
 }

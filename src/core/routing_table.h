@@ -13,7 +13,10 @@
 //    120/140/170 example).
 //
 // TTLs are stored as absolute expiry times; "decreasing TTLs every period"
-// (Fig. 6 line 14) then reduces to purging expired entries.
+// (Fig. 6 line 14) then reduces to purging expired entries. Each expiry is
+// kept as a 32-bit "dead from" stamp (expiry + 1 ms, 0 = vacant), which
+// holds any sim time below 2^32 - 1 ms (49.7 simulated days); writes
+// beyond that horizon fail a contract check.
 //
 // Storage: both layers live in ONE open-addressed map keyed by the
 // destination id. The hot queries (next_rvp / resolve / remaining_ttl)
@@ -24,11 +27,13 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 
 #include "net/address.h"
 #include "net/node_id.h"
 #include "sim/time.h"
+#include "util/contracts.h"
 #include "util/flat_hash.h"
 
 namespace nylon::core {
@@ -122,18 +127,43 @@ class routing_table {
   [[nodiscard]] sim::sim_time hole_timeout() const noexcept {
     return hole_timeout_;
   }
+  /// Bytes the table holds allocated (slots and control bytes).
+  [[nodiscard]] std::size_t bytes() const noexcept { return table_.bytes(); }
+
+  /// Expiries must stay below this (2^32 - 1 ms); see route_entry.
+  static constexpr sim::sim_time stamp_horizon = (sim::sim_time{1} << 32) - 1;
 
  private:
-  /// Both layers for one destination. A layer is live iff its expiry is
-  /// >= now; the vacant states (`direct_expires == -1`, `rvp ==
-  /// nil_node`) compare dead at any sim time including 0, exactly like
-  /// absence from the old per-layer maps did.
+  /// Both layers for one destination, 20 bytes (a 24-byte table slot).
+  /// A layer is live at `now` iff `now < *_dead_from`; a stamp of 0 is
+  /// vacant and compares dead at any sim time including 0, exactly like
+  /// absence from the old per-layer maps did. The route layer is also
+  /// vacant while `rvp == nil_node`.
   struct route_entry {
     net::endpoint direct_address;
-    sim::sim_time direct_expires = -1;
+    std::uint32_t direct_dead_from = 0;
     net::node_id rvp = net::nil_node;
-    sim::sim_time route_expires = 0;
+    std::uint32_t route_dead_from = 0;
   };
+  static_assert(sizeof(route_entry) == 20);
+
+  /// The stamp for a layer expiring at `expires` (live through it).
+  [[nodiscard]] static std::uint32_t dead_from(sim::sim_time expires) {
+    NYLON_EXPECTS(expires >= 0 && expires < stamp_horizon);
+    return static_cast<std::uint32_t>(expires + 1);
+  }
+  /// The expiry a non-zero stamp encodes.
+  [[nodiscard]] static sim::sim_time expiry_of(std::uint32_t stamp) noexcept {
+    return static_cast<sim::sim_time>(stamp) - 1;
+  }
+  [[nodiscard]] static bool live(std::uint32_t stamp,
+                                 sim::sim_time now) noexcept {
+    return now < static_cast<sim::sim_time>(stamp);
+  }
+  [[nodiscard]] static bool route_live(const route_entry& e,
+                                       sim::sim_time now) noexcept {
+    return e.rvp != net::nil_node && live(e.route_dead_from, now);
+  }
 
   /// Lowers the purge watermark to cover a newly set expiry.
   void note_expiry(sim::sim_time expires) noexcept {
@@ -144,7 +174,7 @@ class routing_table {
   [[nodiscard]] const route_entry* live_direct(net::node_id dest,
                                                sim::sim_time now) const {
     const route_entry* e = table_.find(dest);
-    return e != nullptr && e->direct_expires >= now ? e : nullptr;
+    return e != nullptr && live(e->direct_dead_from, now) ? e : nullptr;
   }
 
   sim::sim_time hole_timeout_;

@@ -245,4 +245,10 @@ std::size_t nat_device::active_rule_count(sim::sim_time now) const {
   return count;
 }
 
+std::size_t nat_device::bytes() const noexcept {
+  std::size_t total = port_owner_.bytes();
+  for (const client& c : clients_) total += c.rules.bytes() + c.sym.bytes();
+  return total;
+}
+
 }  // namespace nylon::nat

@@ -117,6 +117,10 @@ class nat_device {
   /// Number of live filtering rules (cone) or sessions (symmetric).
   [[nodiscard]] std::size_t active_rule_count(sim::sim_time now) const;
 
+  /// Bytes the device's flat tables hold allocated: every client's rule
+  /// and session tables plus the public-port index.
+  [[nodiscard]] std::size_t bytes() const noexcept;
+
  private:
   /// One symmetric session: the minted public port and its expiry.
   struct sym_entry {

@@ -77,9 +77,21 @@ struct shard_engine::worker_pool {
                           "shard " + std::to_string(index));
 #endif
     shard& s = *engine.shards_[index];
+    // The finish barrier releases the coordinator, which may then read
+    // this shard's accumulators (shard_engine::profile). So the finish
+    // crossing's own accounting is held here and folded in during the
+    // next epoch, before `mid`; the next finish barrier orders that write
+    // before the coordinator's next read. A profile therefore lags by at
+    // most the last epoch's finish wait.
+    spin_barrier::wait_kind finish_kind = spin_barrier::wait_kind::last;
+    [[maybe_unused]] double finish_wait_s = 0.0;
     for (;;) {
       start.arrive_and_wait();
       if (exiting) return;
+      note_wait(s, finish_kind);
+#if NYLON_OBS
+      s.wait_s += finish_wait_s;
+#endif
       // Profiler accounting (per epoch, five clock reads): work is the
       // run phase plus the drain phase; wait is the time blocked at the
       // mid and finish barriers. The start barrier is deliberately
@@ -110,13 +122,14 @@ struct shard_engine::worker_pool {
 #if NYLON_OBS
       const auto t3 = profile_clock::now();
       profile_span("epoch:drain", t2, t3);
+      s.work_s += profile_seconds(t0, t1) + profile_seconds(t2, t3);
+      s.wait_s += profile_seconds(t1, t2);
 #endif
-      note_wait(s, finish.arrive_and_wait());
+      finish_kind = finish.arrive_and_wait();
 #if NYLON_OBS
       const auto t4 = profile_clock::now();
       profile_span("barrier:finish", t3, t4);
-      s.work_s += profile_seconds(t0, t1) + profile_seconds(t2, t3);
-      s.wait_s += profile_seconds(t1, t2) + profile_seconds(t3, t4);
+      finish_wait_s = profile_seconds(t3, t4);
 #endif
     }
   }

@@ -145,9 +145,9 @@ class shard_engine {
     std::vector<channel_event> drain_scratch;  ///< recycled across epochs
     std::vector<std::size_t> drain_bounds;     ///< segment-merge scratch
     // Epoch-profiler accumulators. work/wait are wall-clock seconds,
-    // written only by this shard's worker (or the coordinator on the
-    // single-shard inline path); read by the control plane while the
-    // engine is parked. The wall numbers stay zero when telemetry is
+    // written only by this shard's worker before it arrives at the
+    // finish barrier (or by the coordinator on the single-shard inline
+    // path); read by the control plane while the engine is parked. The wall numbers stay zero when telemetry is
     // compiled out; the barrier-resolution counts are always maintained
     // (they cost two adds per epoch).
     double work_s = 0.0;  ///< run_until + drain_inbound

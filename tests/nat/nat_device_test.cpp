@@ -281,6 +281,21 @@ TEST(nat_device, binding_lapse_clears_rules) {
 
 // --- capacity independence ---------------------------------------------------
 
+/// bytes() counts what the flat tables hold allocated: nothing before the
+/// first packet, more as a symmetric NAT mints a session per remote.
+TEST(nat_device, bytes_follow_the_flat_tables) {
+  nat_device dev = make(nat_type::symmetric);
+  EXPECT_EQ(dev.bytes(), 0u);
+  dev.translate_outbound(priv, remote_a, 0);
+  const std::size_t first = dev.bytes();
+  EXPECT_GT(first, 0u);
+  for (std::uint32_t i = 0; i < 100; ++i) {
+    dev.translate_outbound(priv, endpoint{ip_address{0x0B000000u + i}, 4000},
+                           0);
+  }
+  EXPECT_GT(dev.bytes(), first);
+}
+
 /// Capacity is not state: a device whose tables are pre-sized by the
 /// constructor hint and one whose tables grow on demand through several
 /// doublings translate, admit and count identically under the same

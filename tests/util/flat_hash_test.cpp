@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <map>
+#include <unordered_map>
 #include <vector>
 
 #include "net/payload_arena.h"
@@ -196,6 +197,182 @@ TEST(flat_hash, lease_values_keep_refcounts_exact_across_growth_and_erase) {
     ref.clear();  // the table's destructor released the rest
     for (std::uint64_t i = 0; i < payloads; ++i) ASSERT_EQ(refs_of(i), 1u);
   }
+}
+
+/// Every key hashes to one home slot and one control tag, so each lookup
+/// walks the whole cluster comparing keys behind equal tags, and every
+/// erase back-shifts the rest of the cluster.
+struct one_slot_hash {
+  [[nodiscard]] std::size_t operator()(std::uint64_t) const noexcept {
+    return 0x9e3779b97f4a7c15ULL;
+  }
+};
+
+/// Randomized differential test against std::unordered_map over
+/// insert_or_get, erase, erase_if, find and for_each, with values that
+/// own payload leases: the arena's live bytes must equal one block per
+/// stored value at every checkpoint (no lease leaked by a vacated slot,
+/// none dropped by a move). The key space widens as the run goes, so the
+/// table grows through several ¾-load thresholds while it churns.
+template <typename Hash>
+void run_differential(std::uint64_t seed, int ops, std::uint64_t first_keys,
+                      std::uint64_t last_keys) {
+  using lease = net::arena_ref<const std::uint64_t>;
+  struct value {
+    lease payload;
+    std::uint64_t n = 0;
+  };
+  const auto& arena = net::arena_detail::local_freelists();
+  const std::size_t live_before = arena.live_bytes;
+  std::size_t block_bytes = 0;
+  {
+    const lease probe = net::make_payload<std::uint64_t>(0);
+    block_bytes = arena.live_bytes - live_before;
+  }
+  ASSERT_GT(block_bytes, 0u);
+
+  rng r(seed);
+  std::unordered_map<std::uint32_t, std::uint64_t> ref;
+  {
+    flat_hash_map<std::uint32_t, value, Hash> m;
+    std::size_t growths = 0;
+    std::size_t bytes = m.bytes();
+    const auto check_all = [&](int op) {
+      ASSERT_EQ(m.size(), ref.size()) << op;
+      ASSERT_EQ(arena.live_bytes - live_before, ref.size() * block_bytes)
+          << op;
+      std::size_t seen = 0;
+      m.for_each([&](std::uint32_t key, const value& v) {
+        ++seen;
+        const auto it = ref.find(key);
+        ASSERT_NE(it, ref.end()) << op << " key " << key;
+        EXPECT_EQ(v.n, it->second);
+        EXPECT_EQ(*v.payload, it->second);
+      });
+      ASSERT_EQ(seen, ref.size()) << op;
+    };
+    for (int op = 0; op < ops; ++op) {
+      const std::uint64_t span =
+          first_keys + (last_keys - first_keys) * static_cast<std::uint64_t>(
+                                                      op) /
+                           static_cast<std::uint64_t>(ops);
+      const auto key = static_cast<std::uint32_t>(r.uniform(0, span - 1));
+      switch (r.uniform(0, 9)) {
+        case 0:
+        case 1:
+        case 2:
+        case 3: {
+          const std::uint64_t n = r.uniform(0, 1'000'000);
+          m.insert_or_get(key) = value{net::make_payload<std::uint64_t>(n), n};
+          ref[key] = n;
+          break;
+        }
+        case 4:
+        case 5:
+          ASSERT_EQ(m.erase(key), ref.erase(key) > 0) << op;
+          break;
+        case 6: {  // the present value, or a fresh default one
+          value& v = m.insert_or_get(key);
+          const auto it = ref.find(key);
+          if (it != ref.end()) {
+            EXPECT_EQ(v.n, it->second) << op;
+          } else {
+            EXPECT_EQ(v.payload.get(), nullptr) << op;
+            EXPECT_EQ(v.n, 0u) << op;
+            v = value{net::make_payload<std::uint64_t>(0), 0};
+            ref[key] = 0;
+          }
+          break;
+        }
+        default: {
+          const value* found = m.find(key);
+          const auto it = ref.find(key);
+          ASSERT_EQ(found != nullptr, it != ref.end()) << op;
+          if (found != nullptr) {
+            EXPECT_EQ(found->n, it->second);
+            EXPECT_EQ(*found->payload, it->second);
+          }
+          break;
+        }
+      }
+      if (op % 997 == 996) {  // periodic sweep, like expiry purges
+        const std::uint64_t cut = r.uniform(0, 400'000);
+        const std::size_t expected = std::erase_if(
+            ref, [&](const auto& kv) { return kv.second < cut; });
+        EXPECT_EQ(m.erase_if([&](std::uint32_t, const value& v) {
+                    return v.n < cut;
+                  }),
+                  expected)
+            << op;
+      }
+      ASSERT_EQ(m.size(), ref.size()) << op;
+      if (m.bytes() != bytes) {
+        ++growths;
+        bytes = m.bytes();
+      }
+      if (op % 4'999 == 0) check_all(op);
+    }
+    check_all(ops);
+    // A run that never crossed several growth thresholds proves little.
+    EXPECT_GE(growths, 5u);
+    m.clear();
+    ref.clear();
+    check_all(ops);
+  }
+  EXPECT_EQ(arena.live_bytes, live_before);
+}
+
+TEST(flat_hash, matches_unordered_map_through_growth_with_lease_values) {
+  run_differential<mix_hash>(2026, 120'000, 64, 6'000);
+}
+
+TEST(flat_hash, matches_unordered_map_when_every_key_shares_slot_and_tag) {
+  run_differential<one_slot_hash>(2027, 100'000, 8, 240);
+}
+
+/// The growth threshold is ¾ of the slots: six keys fit the first eight
+/// slots, the seventh doubles the table, and so on. A route-sized value
+/// (20 bytes) with a 4-byte key costs a 24-byte slot plus one control
+/// byte; the table adds one word of control-byte copies.
+TEST(flat_hash, grows_at_three_quarters_load_with_one_control_byte_a_slot) {
+  struct route_sized {
+    std::uint32_t words[5] = {};
+  };
+  flat_hash_map<std::uint32_t, route_sized> m;
+  const auto bytes_at = [](std::size_t capacity) {
+    return capacity * (24 + 1) + 8;
+  };
+  EXPECT_EQ(m.bytes(), 0u);
+  for (std::uint32_t k = 0; k < 6; ++k) m.insert_or_get(k);
+  EXPECT_EQ(m.bytes(), bytes_at(8));
+  m.insert_or_get(6);
+  EXPECT_EQ(m.bytes(), bytes_at(16));
+  for (std::uint32_t k = 7; k < 12; ++k) m.insert_or_get(k);
+  EXPECT_EQ(m.bytes(), bytes_at(16));
+  m.insert_or_get(12);
+  EXPECT_EQ(m.bytes(), bytes_at(32));
+  m.reserve(48);
+  EXPECT_EQ(m.bytes(), bytes_at(64));
+  m.reserve(49);
+  EXPECT_EQ(m.bytes(), bytes_at(128));
+  for (std::uint32_t k = 0; k < 13; ++k) ASSERT_NE(m.find(k), nullptr) << k;
+}
+
+/// A moved-from table is empty and reusable, and the moved-to one keeps
+/// every element.
+TEST(flat_hash, move_transfers_the_table) {
+  flat_hash_map<std::uint32_t, int> a;
+  for (std::uint32_t k = 0; k < 100; ++k) a.insert_or_get(k) = int(k);
+  flat_hash_map<std::uint32_t, int> b(std::move(a));
+  EXPECT_EQ(b.size(), 100u);
+  EXPECT_EQ(a.size(), 0u);  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(a.bytes(), 0u);
+  EXPECT_EQ(a.find(5), nullptr);
+  a.insert_or_get(7) = 70;
+  b = std::move(a);
+  EXPECT_EQ(b.size(), 1u);
+  EXPECT_EQ(*b.find(7), 70);
+  EXPECT_EQ(b.find(5), nullptr);
 }
 
 }  // namespace
