@@ -322,8 +322,8 @@ int main(int argc, char** argv) {
       "asserts digest equality and emits a per-K speedup curve");
   const auto* profile_name = flags.add_string(
       "profile", "",
-      "named parameter preset: 'ci' (n=2000, short churn) or 'million' "
-      "(n=1000000, reduced churn); explicit flags win");
+      "named parameter preset: 'million' (n=1000000, reduced churn); "
+      "explicit flags win");
   const auto* seed = flags.add_int("seed", 1, "seed");
   const auto* json = flags.add_string(
       "json", "", "also write machine-readable results to this file");
@@ -356,24 +356,19 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // Profiles layer defaults under flags the user did not set: the CI
-  // preset keeps smoke runs one flag long, and the million-peer preset
-  // trades churn periods for population so a 1M-peer world stays
-  // tractable (expect a long single-threaded build; at n=20000 this
-  // program peaks near 11 KB per peer, see README) while still
+  // The million-peer profile layers defaults under flags the user did
+  // not set: it trades churn periods for population so a 1M-peer world
+  // stays tractable (expect a long single-threaded build; at n=20000
+  // this program peaks near 11 KB per peer, see README) while still
   // exercising join/depart/rebind at scale.
-  if (*profile_name == "ci") {
-    if (!flags.provided("n")) *n = 2000;
-    if (!flags.provided("warmup")) *warmup = 10;
-    if (!flags.provided("churn-rounds")) *churn_rounds = 20;
-  } else if (*profile_name == "million") {
+  if (*profile_name == "million") {
     if (!flags.provided("n")) *n = 1000000;
     if (!flags.provided("warmup")) *warmup = 3;
     if (!flags.provided("churn-rounds")) *churn_rounds = 5;
     if (!flags.provided("arrivals")) *arrivals = 200.0;
   } else if (!profile_name->empty()) {
     std::cerr << "unknown --profile '" << *profile_name
-              << "' (expected 'ci' or 'million')\n"
+              << "' (expected 'million')\n"
               << flags.usage("bench_scale");
     return 1;
   }

@@ -12,21 +12,19 @@ Files are ordered by modification time (oldest first) unless given
 explicitly, in which case argument order is kept.
 
 Sweep documents (bench_scale --sweep-shards) expand into one row per
-shard count, and the regression gate runs *per (transport, shard
-count)*: for every combination present in the newest document, the
-newest events/s is held against the best ever recorded for the same
-combination. A serial-engine improvement can therefore never mask a
-sharded-engine regression (and vice versa), and a wall-clock-paced udp
-run can neither shadow nor be judged by a sim run's throughput. Sharded
-rows also print the epoch statistics (epochs run, mean epoch width in
-sim-ms, events per epoch) so an epoch-cutting change shows up as a
-visible epoch-count shift, not just a throughput delta. Exits non-zero when any K in the newest run is more
-than --threshold percent below its per-K best; with a single file it
-just prints the rows.
+shard count, and the regression gate runs *per shard count*: for every
+K present in the newest document, the newest events/s is held against
+the best ever recorded for the same K. A serial-engine improvement can
+therefore never mask a sharded-engine regression (and vice versa).
+Sharded rows also print the epoch statistics (epochs run, mean epoch
+width in sim-ms, events per epoch) so an epoch-cutting change shows up
+as a visible epoch-count shift, not just a throughput delta. Exits
+non-zero when any K in the newest run is more than --threshold percent
+below its per-K best; with a single file it just prints the rows.
 
 Memory rides the same gate, lower-is-better: a row's peak_rss_mb and
 rss_bytes_per_peer are held against the lowest recorded for the same
-(transport, shard count, n), and fail past --threshold percent above
+(shard count, n), and fail past --threshold percent above
 it. bench_scale resets the kernel's peak-RSS mark before each K, so a
 sweep row's peak covers that K's run alone; where the reset is refused
 it is the process's peak through that K (cumulative). Documents written
@@ -86,17 +84,11 @@ def load_rows(path):
     # Telemetry (PR 6) is optional: older artifacts and serial runs have
     # no profile block, and must keep loading without one.
     profile = doc.get("telemetry", {}).get("profile", {})
-    # Non-sim runs mark their carrier (PR 8); older artifacts are all sim.
-    # udp runs are wall-clock paced, so their events/s must never be
-    # compared against (or shadow the best of) a sim run — the gate keys
-    # on (transport, shards).
-    transport = doc.get("transport") or params.get("transport") or "sim"
 
     def row(shards, entry, imbalance, barrier):
         return {
             "path": path,
             "n": params.get("n"),
-            "transport": transport,
             "shards": shards,
             "events": entry.get("events_executed"),
             "events_per_sec": entry.get("events_per_sec"),
@@ -147,25 +139,22 @@ def main():
         print("no usable BENCH_scale documents found", file=sys.stderr)
         return 1
 
-    header = (f"{'run':<40} {'n':>8} {'carrier':>10} {'K':>3} "
+    header = (f"{'run':<40} {'n':>8} {'K':>3} "
               f"{'events':>12} {'events/s':>12} {'vs best':>9} {'epochs':>8} "
               f"{'ep_w_ms':>8} {'ev/ep':>8} {'imbal':>7} {'barrier':>8} "
               f"{'rss_MB':>8} {'B/peer':>8}")
     print(header)
     print("-" * len(header))
 
-    def gate_key(row):
-        return (row["transport"], row["shards"])
-
     best_by_k = {}
     for row in rows:
         eps = row["events_per_sec"] or 0.0
-        k = gate_key(row)
+        k = row["shards"]
         if eps > best_by_k.get(k, 0.0):
             best_by_k[k] = eps
     for row in rows:
         eps = row["events_per_sec"] or 0.0
-        best = best_by_k.get(gate_key(row), 0.0)
+        best = best_by_k.get(row["shards"], 0.0)
         vs_best = f"{100.0 * (eps / best - 1.0):+8.1f}%" if best else "        -"
         label = os.path.relpath(row["path"])
         if len(label) > 40:
@@ -185,19 +174,19 @@ def main():
                if row["peak_rss_mb"] is not None else f"{'-':>8}")
         per_peer = (f"{row['rss_bytes_per_peer']:>8.0f}"
                     if row["rss_bytes_per_peer"] is not None else f"{'-':>8}")
-        print(f"{label:<40} {row['n'] or 0:>8} {row['transport']:>10} "
+        print(f"{label:<40} {row['n'] or 0:>8} "
               f"{k:>3} {row['events'] or 0:>12} "
               f"{eps:>12.0f} {vs_best} {epochs} {width} {ev_ep} {imbal} "
               f"{barrier} {rss} {per_peer}")
 
     # Warn-only balance gate (never affects the exit code): the newest
     # run's shard-balance profile is held against the best (lowest) ever
-    # recorded per (transport, shards). Throughput regressions fail via
+    # recorded per shard count. Throughput regressions fail via
     # --threshold; imbalance and barrier overhead are noisy on shared CI
     # runners, so a drift there only warns.
     best_balance = {}
     for row in rows:
-        key = gate_key(row)
+        key = row["shards"]
         for field in ("imbalance", "barrier_overhead_pct"):
             val = row[field]
             if val is None:
@@ -206,33 +195,30 @@ def main():
             if prev is None or val < prev:
                 best_balance[(key, field)] = val
     for row in (r for r in rows if r["path"] == newest_path):
-        key = gate_key(row)
+        key = row["shards"]
         for field, slack in (("imbalance", 0.05),
                              ("barrier_overhead_pct", 5.0)):
             val = row[field]
             best = best_balance.get((key, field))
             if val is None or best is None or val <= best + slack:
                 continue
-            print(f"WARNING: newest run at transport={row['transport']} "
-                  f"K={row['shards']} has "
+            print(f"WARNING: newest run at K={row['shards']} has "
                   f"{field}={val:.3f}, above the best recorded {best:.3f} "
-                  f"for that combination (warn-only, not a gate failure)",
+                  f"for that K (warn-only, not a gate failure)",
                   file=sys.stderr)
 
     if args.threshold > 0:
         failed = False
         for row in (r for r in rows if r["path"] == newest_path):
             eps = row["events_per_sec"] or 0.0
-            best = best_by_k.get(gate_key(row), 0.0)
+            best = best_by_k.get(row["shards"], 0.0)
             if best <= 0:
                 continue
             drop = 100.0 * (1.0 - eps / best)
             if drop > args.threshold:
-                print(f"REGRESSION: newest run at transport="
-                      f"{row['transport']} K={row['shards']} "
-                      f"is {drop:.1f}% below the "
-                      f"best for that combination ({eps:.0f} vs {best:.0f} "
-                      f"events/s)", file=sys.stderr)
+                print(f"REGRESSION: newest run at K={row['shards']} "
+                      f"is {drop:.1f}% below the best for that K "
+                      f"({eps:.0f} vs {best:.0f} events/s)", file=sys.stderr)
                 failed = True
         # Memory, lower is better, keyed by n as well: peak RSS scales
         # with the population.
@@ -241,18 +227,17 @@ def main():
             for field in MEMORY_FIELDS:
                 if row[field] is None:
                     continue
-                key = (gate_key(row), row["n"], field)
+                key = (row["shards"], row["n"], field)
                 lowest[key] = min(lowest.get(key, row[field]), row[field])
         for row in (r for r in rows if r["path"] == newest_path):
             for field in MEMORY_FIELDS:
                 val = row[field]
-                best = lowest.get((gate_key(row), row["n"], field))
+                best = lowest.get((row["shards"], row["n"], field))
                 if val is None or not best:
                     continue
                 rise = 100.0 * (val / best - 1.0)
                 if rise > args.threshold:
-                    print(f"REGRESSION: newest run at transport="
-                          f"{row['transport']} K={row['shards']} "
+                    print(f"REGRESSION: newest run at K={row['shards']} "
                           f"n={row['n']} has {field}={val:.1f}, {rise:.1f}% "
                           f"above the lowest recorded ({best:.1f})",
                           file=sys.stderr)

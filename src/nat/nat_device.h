@@ -20,18 +20,25 @@
 //    metrics oracle, so staleness is measured against the exact same
 //    semantics the packets experience, without perturbing NAT state.
 //
-// Storage: filtering rules and symmetric sessions live in open-addressed
-// flat tables keyed by packed remote endpoints (exact-match lookups
-// replace what used to be linear scans), and `purge_expired` is guarded
-// by a device-wide next-expiry watermark so quiet devices cost one
-// compare per maintenance tick instead of a full sweep. The semantics are
-// bit-identical to the original map/scan implementation — see the
-// equivalence tests in tests/nat/ and DESIGN.md's determinism contract.
+// One box per peer: as in the paper's model, every natted peer sits
+// behind its own NAT, so a device serves exactly one private endpoint.
+// It binds that endpoint on first use (`advertised_endpoint` for cone
+// types, `translate_outbound` for every type) and rejects any other
+// private endpoint with a contract_error.
+//
+// Storage: the client's cone port, binding expiry, filtering rules and
+// symmetric sessions live inline in the device. Rules and sessions are
+// open-addressed flat tables keyed by packed remote endpoints, and
+// `purge_expired` is guarded by a device-wide next-expiry watermark so
+// quiet devices cost one compare per maintenance tick instead of a full
+// sweep. Both admission paths run one const lookup, so the oracle
+// cannot drift from the packet path. The semantics are bit-identical to
+// the original map/scan implementation — see the equivalence tests in
+// tests/nat/ and DESIGN.md's determinism contract.
 #pragma once
 
 #include <cstdint>
 #include <optional>
-#include <vector>
 
 #include "nat/nat_type.h"
 #include "net/address.h"
@@ -49,14 +56,12 @@ struct predicted_source {
   std::optional<std::uint32_t> port;
 };
 
-/// One simulated NAT box. A device can serve several private endpoints
-/// (deployments in this repo use one peer per device).
+/// One simulated NAT box serving one private endpoint.
 class nat_device {
  public:
   /// `type` must be a natted type; `hole_timeout` > 0. The rule/session
-  /// tables grow on demand; `expected_rules` is an optional capacity hint
-  /// for each client's tables (and the public-port reverse index) and
-  /// never changes what the device translates or admits.
+  /// table grows on demand; `expected_rules` is an optional capacity hint
+  /// for it and never changes what the device translates or admits.
   nat_device(nat_type type, net::ip_address public_ip,
              sim::sim_time hole_timeout, std::size_t expected_rules = 0);
 
@@ -72,23 +77,25 @@ class nat_device {
 
   /// Processes an outbound packet from `private_src` to `remote`:
   /// creates/refreshes the mapping and the filtering rule, and returns the
-  /// translated public source endpoint.
+  /// translated public source endpoint. Binds `private_src` on first use;
+  /// any other private endpoint afterwards violates the contract.
   net::endpoint translate_outbound(const net::endpoint& private_src,
                                    const net::endpoint& remote,
                                    sim::sim_time now);
 
   /// Processes an inbound packet addressed to `public_dst` (one of this
   /// device's public endpoints) arriving from `remote_src`. Returns the
-  /// private destination endpoint when the filtering rule admits the
-  /// packet (refreshing mapping and rule), or nullopt when it is dropped.
+  /// private destination endpoint when `would_accept` does, refreshing
+  /// the mapping and the entry that admitted it; nullopt drops it.
   std::optional<net::endpoint> filter_inbound(const net::endpoint& public_dst,
                                               const net::endpoint& remote_src,
                                               sim::sim_time now);
 
   // --- const dry-run path (metrics oracle) ---------------------------------
 
-  /// Source endpoint a packet from `private_src` to `remote` would carry,
-  /// without creating the session.
+  /// Source endpoint a packet from `private_src` (the bound endpoint, or
+  /// any before the first bind) to `remote` would carry, without creating
+  /// the session.
   [[nodiscard]] predicted_source would_translate(
       const net::endpoint& private_src, const net::endpoint& remote,
       sim::sim_time now) const;
@@ -103,9 +110,10 @@ class nat_device {
   // --- STUN-like oracle -----------------------------------------------------
 
   /// The public endpoint this private endpoint should advertise in peer
-  /// descriptors. Cone types get a stable, pre-reserved port (real NATs
-  /// keep the same mapping while it is in use, and STUN discovers it);
-  /// symmetric NATs return port 0 because no single port is meaningful.
+  /// descriptors. Cone types bind `private_src` and get a stable,
+  /// pre-reserved port (real NATs keep the same mapping while it is in
+  /// use, and STUN discovers it); symmetric NATs return port 0 because no
+  /// single port is meaningful.
   net::endpoint advertised_endpoint(const net::endpoint& private_src);
 
   // --- maintenance / introspection -----------------------------------------
@@ -117,8 +125,8 @@ class nat_device {
   /// Number of live filtering rules (cone) or sessions (symmetric).
   [[nodiscard]] std::size_t active_rule_count(sim::sim_time now) const;
 
-  /// Bytes the device's flat tables hold allocated: every client's rule
-  /// and session tables plus the public-port index.
+  /// Bytes the device's flat tables hold allocated: the rule and session
+  /// tables.
   [[nodiscard]] std::size_t bytes() const noexcept;
 
  private:
@@ -128,46 +136,52 @@ class nat_device {
     sim::sim_time expires = 0;
   };
 
-  /// Per-private-endpoint state. Rules (cone) are keyed by packed
-  /// (remote_ip, rule_port); sessions (symmetric) by packed remote
-  /// endpoint. The cone port reservation is permanent (survives binding
-  /// expiry so advertised endpoints stay valid — see DESIGN.md).
-  struct client {
-    net::endpoint private_ep;
-    std::uint32_t cone_port = 0;       ///< 0 = not reserved yet
-    sim::sim_time cone_expires = -1;   ///< -1 = no binding yet
-    util::flat_hash_map<std::uint64_t, sim::sim_time> rules;
-    util::flat_hash_map<std::uint64_t, sym_entry> sym;
-  };
-
   /// Packs a remote endpoint (or (ip, rule_port) pair) into a table key.
   [[nodiscard]] static std::uint64_t key_of(net::ip_address ip,
                                             std::uint32_t port) noexcept {
     return (static_cast<std::uint64_t>(ip.value) << 32) | port;
   }
 
-  /// Index of the client serving `private_src`, creating it on demand.
-  std::uint32_t client_for(const net::endpoint& private_src);
-  /// Const lookup; nullptr when this private endpoint is unknown.
-  [[nodiscard]] const client* find_client(
-      const net::endpoint& private_src) const;
+  /// Whether `private_src` may use this device: any endpoint before the
+  /// first bind, afterwards only the bound one.
+  [[nodiscard]] bool serves(const net::endpoint& private_src) const noexcept {
+    return !bound_ || private_src == private_ep_;
+  }
+
+  /// Binds the device's one private endpoint (contract: no second one)
+  /// and, for cone types, reserves its public port. The reservation is
+  /// permanent: it survives binding expiry so advertised endpoints stay
+  /// valid (see DESIGN.md).
+  void bind(const net::endpoint& private_src);
+
+  /// The one admission rule, shared by `filter_inbound` and
+  /// `would_accept`: the live expiry that admits a packet to
+  /// `public_port` from (src_ip, src_port), or nullptr for a drop. That
+  /// is the session (symmetric), the binding (full cone) or the filtering
+  /// rule (restricted cones). An empty src_port is a fresh,
+  /// unpredictable port.
+  [[nodiscard]] const sim::sim_time* admitting_expiry(
+      std::uint32_t public_port, net::ip_address src_ip,
+      std::optional<std::uint32_t> src_port, sim::sim_time now) const;
 
   /// Lowers the purge watermark to cover a newly set expiry.
   void note_expiry(sim::sim_time expires) noexcept {
     if (expires < next_expiry_) next_expiry_ = expires;
   }
 
-  std::uint32_t reserve_cone_port(client& c);
-
   nat_type type_;
+  bool bound_ = false;
   net::ip_address public_ip_;
   sim::sim_time hole_timeout_;
-  std::size_t expected_rules_ = 0;
+  net::endpoint private_ep_;         ///< the one client, once bound_
+  std::uint32_t cone_port_ = 0;      ///< 0 = not reserved yet
   std::uint32_t next_port_ = 1024;
-
-  std::vector<client> clients_;  ///< typically one per device
-  /// Reverse index: public port -> owning client index.
-  util::flat_hash_map<std::uint32_t, std::uint32_t> port_owner_;
+  sim::sim_time cone_expires_ = -1;  ///< -1 = no binding yet
+  /// Filtering rules (restricted cones), keyed by packed
+  /// (remote_ip, rule_port), and symmetric sessions, keyed by packed
+  /// remote endpoint.
+  util::flat_hash_map<std::uint64_t, sim::sim_time> rules_;
+  util::flat_hash_map<std::uint64_t, sym_entry> sym_;
   /// No rule or session expires before this; purge is a no-op until then.
   sim::sim_time next_expiry_ = sim::time_never;
   sim::sim_time last_sweep_ = 0;  ///< GC throttle (see purge_expired)

@@ -1,6 +1,6 @@
 // Open-addressed hash map with linear probing and backward-shift deletion,
 // for the simulator's hot lookup tables (routing tables, NAT filter rules
-// and sessions, public-port ownership, rebound-IP routing). Compared to
+// and sessions, rebound-IP routing). Compared to
 // `std::unordered_map` it stores key/value pairs contiguously (no
 // per-node allocation) and erases without tombstones, so long churn runs
 // never degrade.

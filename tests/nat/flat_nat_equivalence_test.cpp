@@ -5,7 +5,10 @@
 // both implementations are driven with identical operation streams —
 // heavy on expiry boundaries (now == expires), session re-creation after
 // expiry (port reuse), lapsed-binding rule clearing, and purges at
-// arbitrary times — and must agree on every observable.
+// arbitrary times — and must agree on every observable. The stream also
+// checks the device against itself: the dry run (`would_accept`) must
+// predict every inbound verdict, and a port `would_translate` knows must
+// be the one the next outbound packet carries.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -279,9 +282,14 @@ void run_equivalence(nat_type type, std::uint64_t seed) {
     switch (r.uniform(0, 4)) {
       case 0: {  // outbound packet
         const net::endpoint rem = remote(r.uniform(0, 34));
+        const predicted_source predicted = dut.would_translate(priv, rem, now);
         const net::endpoint got = dut.translate_outbound(priv, rem, now);
         const net::endpoint want = ref.translate_outbound(priv, rem, now);
         ASSERT_EQ(got, want) << "step " << step;
+        // A port the dry run knows is the port the packet then carries.
+        if (predicted.port.has_value()) {
+          ASSERT_EQ(*predicted.port, got.port) << "step " << step;
+        }
         seen_ports.push_back(got.port);
         break;
       }
@@ -289,9 +297,14 @@ void run_equivalence(nat_type type, std::uint64_t seed) {
         const std::uint32_t port =
             seen_ports[r.index(seen_ports.size())];
         const net::endpoint rem = remote(r.uniform(0, 34));
-        ASSERT_EQ(dut.filter_inbound({nat_ip, port}, rem, now),
-                  ref.filter_inbound({nat_ip, port}, rem, now))
-            << "step " << step;
+        const net::endpoint pub{nat_ip, port};
+        // The oracle's dry run predicts the packet path's verdict.
+        const bool predicted =
+            dut.would_accept(pub, rem.ip, rem.port, now).has_value();
+        const auto got = dut.filter_inbound(pub, rem, now);
+        ASSERT_EQ(predicted, got.has_value())
+            << "dry run disagrees with the packet path at step " << step;
+        ASSERT_EQ(got, ref.filter_inbound(pub, rem, now)) << "step " << step;
         break;
       }
       case 2: {  // dry-run oracle queries

@@ -52,18 +52,41 @@ TEST_P(cone_mapping_test, advertised_endpoint_matches_mapping) {
   EXPECT_EQ(advertised, mapped);
 }
 
-TEST_P(cone_mapping_test, distinct_private_endpoints_distinct_ports) {
-  nat_device dev = make(GetParam());
-  const endpoint other_priv{ip_address{0xAC100002}, 5000};
-  const endpoint m1 = dev.translate_outbound(priv, remote_a, 0);
-  const endpoint m2 = dev.translate_outbound(other_priv, remote_a, 0);
-  EXPECT_NE(m1.port, m2.port);
-}
-
 INSTANTIATE_TEST_SUITE_P(cone_types, cone_mapping_test,
                          ::testing::Values(nat_type::full_cone,
                                            nat_type::restricted_cone,
                                            nat_type::port_restricted_cone));
+
+// One peer sits behind each box, so a device serves exactly one private
+// endpoint: the first one to use it binds it, and any other one after
+// that is a caller bug.
+class one_client_test : public ::testing::TestWithParam<nat_type> {};
+
+TEST_P(one_client_test, second_private_endpoint_is_rejected) {
+  const endpoint other_priv{ip_address{0xAC100002}, 5000};
+  nat_device dev = make(GetParam());
+  const endpoint pub = dev.translate_outbound(priv, remote_a, 0);
+  EXPECT_THROW(dev.translate_outbound(other_priv, remote_a, 0),
+               nylon::contract_error);
+  EXPECT_THROW((void)dev.would_translate(other_priv, remote_a, 0),
+               nylon::contract_error);
+  // The rejected packet left the bound client's state alone.
+  EXPECT_EQ(dev.translate_outbound(priv, remote_a, 1), pub);
+  if (is_cone(GetParam())) {
+    EXPECT_THROW(dev.advertised_endpoint(other_priv), nylon::contract_error);
+    // For cone types, advertising binds the endpoint too.
+    nat_device advertised = make(GetParam());
+    advertised.advertised_endpoint(priv);
+    EXPECT_THROW(advertised.translate_outbound(other_priv, remote_a, 0),
+                 nylon::contract_error);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(all_types, one_client_test,
+                         ::testing::Values(nat_type::full_cone,
+                                           nat_type::restricted_cone,
+                                           nat_type::port_restricted_cone,
+                                           nat_type::symmetric));
 
 TEST(nat_device, symmetric_fresh_port_per_destination) {
   nat_device dev = make(nat_type::symmetric);
