@@ -9,9 +9,11 @@
 // Paper scale is per-spec: `--profile full` applies the spec's own
 // "profiles.full" override block (explicit flags still win). Exits
 // non-zero when any check probe failed.
+#include <cstdint>
 #include <exception>
 #include <iostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/heartbeat.h"
@@ -127,6 +129,17 @@ int main(int argc, char** argv) {
   if (positional.size() != 1) {
     std::cerr << "exactly one spec file expected\n" << flags.usage(usage_name);
     return 1;
+  }
+  // Scale flags are narrowed below: reject negatives before a -1 wraps
+  // into a huge population or silently runs an empty study.
+  for (const auto& [name, value] :
+       {std::pair<const char*, std::int64_t>{"n", *n}, {"seeds", *seeds},
+        {"rounds", *rounds}, {"view-a", *view_a}, {"view-b", *view_b}}) {
+    if (value < 0) {
+      std::cerr << "--" << name << " must be >= 0\n"
+                << flags.usage(usage_name);
+      return 1;
+    }
   }
   if (*threads < 0) {
     std::cerr << "--threads must be >= 0 (0 = all cores)\n"

@@ -679,15 +679,4 @@ double eval_scalar(const probe_selector& sel, const probe_context& ctx) {
   return extract_scalar(sel, sel.p->run(ctx));
 }
 
-std::vector<double> run_probes(std::span<const std::string> names,
-                               const probe_context& ctx) {
-  std::vector<double> out;
-  out.reserve(names.size());
-  for (const std::string& name : names) {
-    const probe_selector sel = resolve_selector(name, {}, {});
-    out.push_back(eval_scalar(sel, ctx));
-  }
-  return out;
-}
-
 }  // namespace nylon::metrics

@@ -188,10 +188,4 @@ struct probe_selector {
 [[nodiscard]] double eval_scalar(const probe_selector& sel,
                                  const probe_context& ctx);
 
-/// Evaluates scalar probes `names` in order against one shared context
-/// (the pre-taxonomy interface; non-scalar probes throw — use
-/// resolve_selector for those). Throws on an unknown name.
-[[nodiscard]] std::vector<double> run_probes(
-    std::span<const std::string> names, const probe_context& ctx);
-
 }  // namespace nylon::metrics

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <utility>
 
 #include "util/contracts.h"
 
@@ -44,47 +43,6 @@ sim::sim_time lognormal_latency::sample(util::rng& rng) {
 
 sim::sim_time lognormal_latency::min_delay() const noexcept {
   return 1;  // sample() clamps to the millisecond grid
-}
-
-mixture_latency::mixture_latency(std::vector<component> components)
-    : components_(std::move(components)) {
-  NYLON_EXPECTS(!components_.empty());
-  live_min_ = sim::time_never;
-  for (const component& c : components_) {
-    NYLON_EXPECTS(c.delay >= 0);
-    NYLON_EXPECTS(c.weight >= 0.0);
-    total_weight_ += c.weight;
-    if (c.weight > 0.0) live_min_ = std::min(live_min_, c.delay);
-  }
-  NYLON_EXPECTS(total_weight_ > 0.0);  // at least one live class
-}
-
-sim::sim_time mixture_latency::sample(util::rng& rng) {
-  // One uniform draw walks the cumulative weights; dead classes have
-  // zero measure and can never be selected.
-  double u = rng.uniform01() * total_weight_;
-  for (const component& c : components_) {
-    u -= c.weight;
-    if (u < 0.0) return c.delay;
-  }
-  return components_.back().delay;  // rounding fell off the end
-}
-
-sim::sim_time mixture_latency::min_delay() const noexcept {
-  return live_min_;
-}
-
-std::size_t mixture_latency::class_count() const noexcept {
-  return components_.size();
-}
-
-sim::sim_time mixture_latency::class_min_delay(
-    std::size_t c) const noexcept {
-  return components_[c].delay;
-}
-
-bool mixture_latency::class_live(std::size_t c) const noexcept {
-  return components_[c].weight > 0.0;
 }
 
 std::unique_ptr<latency_model> paper_latency() {

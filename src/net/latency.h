@@ -3,9 +3,7 @@
 // upper bound, §4 footnote 3).
 #pragma once
 
-#include <cstddef>
 #include <memory>
-#include <vector>
 
 #include "sim/time.h"
 #include "util/rng.h"
@@ -25,29 +23,6 @@ class latency_model {
   /// this, so it must be exact, not optimistic: sample() >= min_delay()
   /// always.
   [[nodiscard]] virtual sim::sim_time min_delay() const noexcept = 0;
-
-  /// Latency classes: a model may draw from several distinct delay
-  /// populations (a near/far mixture, say). Exposing them lets the
-  /// sharded engine's adaptive lookahead take the min over the classes
-  /// that are *live* — reachable with non-zero probability — instead of
-  /// the all-time global floor. The default is one class covering the
-  /// whole model. Invariant: min over live classes of class_min_delay
-  /// == min_delay().
-  [[nodiscard]] virtual std::size_t class_count() const noexcept {
-    return 1;
-  }
-  /// Exact lower bound of samples drawn from class `c` (< class_count()).
-  [[nodiscard]] virtual sim::sim_time class_min_delay(
-      std::size_t c) const noexcept {
-    (void)c;
-    return min_delay();
-  }
-  /// True when class `c` can produce samples (non-zero weight). Dead
-  /// classes are excluded from lookahead computations.
-  [[nodiscard]] virtual bool class_live(std::size_t c) const noexcept {
-    (void)c;
-    return true;
-  }
 };
 
 /// Constant delay (the paper's 50 ms).
@@ -89,34 +64,6 @@ class lognormal_latency final : public latency_model {
  private:
   double median_ms_;
   double sigma_;
-};
-
-/// A finite mixture of fixed-delay classes: with probability
-/// `weight[c] / sum(weights)` a message takes `delay[c]`. Models the
-/// near/far split of real deployments (LAN-ish paths vs transcontinental
-/// ones) and is the reference multi-class model for the adaptive-window
-/// machinery: min_delay() is the min over *live* (weight > 0) classes
-/// only, so a mixture whose short class is disabled legitimately
-/// advertises the longer floor.
-class mixture_latency final : public latency_model {
- public:
-  struct component {
-    sim::sim_time delay = 0;  ///< >= 0
-    double weight = 0.0;      ///< >= 0; the mixture needs sum > 0
-  };
-
-  explicit mixture_latency(std::vector<component> components);
-  [[nodiscard]] sim::sim_time sample(util::rng& rng) override;
-  [[nodiscard]] sim::sim_time min_delay() const noexcept override;
-  [[nodiscard]] std::size_t class_count() const noexcept override;
-  [[nodiscard]] sim::sim_time class_min_delay(
-      std::size_t c) const noexcept override;
-  [[nodiscard]] bool class_live(std::size_t c) const noexcept override;
-
- private:
-  std::vector<component> components_;
-  double total_weight_ = 0.0;
-  sim::sim_time live_min_ = 0;
 };
 
 /// Convenience factory for the paper's default.

@@ -1,6 +1,6 @@
 // Type-erased datagram payloads. Protocol layers (gossip, nylon) define
 // concrete payloads; the transport only needs a wire size for bandwidth
-// accounting and a type name for per-kind statistics.
+// accounting and a message kind for per-kind statistics.
 #pragma once
 
 #include <cstddef>
@@ -15,16 +15,16 @@ namespace nylon::net {
 
 /// Transport-level message classification: the protocol kinds the
 /// simulator accounts for with a fixed array instead of a string-keyed
-/// hash (the per-send `bytes_by_type_[type_name()]` lookup was hot).
-/// Payloads outside the gossip protocol (test doubles, measurement
-/// probes) report `other` and fall back to by-name accounting.
+/// hash (a per-send lookup by type name was hot). Payloads outside the
+/// gossip protocol (test doubles, measurement probes) report `other` and
+/// share its one counter.
 enum class message_kind : std::uint8_t {
   request,    ///< shuffle request carrying the initiator's buffer
   response,   ///< shuffle response carrying the target's buffer
   open_hole,  ///< Nylon: hole-punch trigger, forwarded along the RVP chain
   ping,       ///< Nylon: opens the sender's own NAT hole towards dest
   pong,       ///< Nylon: confirms the hole is open
-  other,      ///< anything else (accounted per type_name)
+  other,      ///< anything else (one shared byte counter)
   count_      ///< number of kinds (internal)
 };
 
@@ -53,7 +53,7 @@ class payload {
   /// the transport adds).
   [[nodiscard]] virtual std::size_t wire_size() const noexcept = 0;
 
-  /// Stable name used for per-message-type accounting ("REQUEST", ...).
+  /// Stable name of the message type ("REQUEST", ...) for diagnostics.
   [[nodiscard]] virtual std::string_view type_name() const noexcept = 0;
 
   /// Transport-level kind for O(1) accounting and dispatch; `other`

@@ -71,7 +71,7 @@ void transport::set_codec(const frame_codec* codec) {
 
 void transport::set_backend(transport_backend* backend) {
   NYLON_EXPECTS(node_count_ == 0);
-  NYLON_EXPECTS(backend == nullptr || router_ == nullptr);
+  NYLON_EXPECTS(backend == nullptr || engine_ == nullptr);
   backend_ = backend;
 }
 
@@ -82,36 +82,28 @@ void transport::deliver_inbound(node_id from, const endpoint& source,
   deliver(0, from, source, to, body, bytes);
 }
 
-void transport::set_shard_router(shard_router* router) {
+void transport::set_shard_engine(sim::shard_engine* engine) {
   NYLON_EXPECTS(node_count_ == 0);
-  NYLON_EXPECTS(router == nullptr || backend_ == nullptr);
-  router_ = router;
-  shard_count_ = router_ != nullptr ? router_->shard_count() : 1;
+  NYLON_EXPECTS(engine == nullptr || backend_ == nullptr);
+  engine_ = engine;
+  shard_count_ = engine_ != nullptr ? engine_->shard_count() : 1;
   counters_.clear();
   counters_.resize(shard_count_);
   leases_.clear();
   leases_.resize(shard_count_);
   node_shards_.clear();
   node_shards_.resize(shard_count_);
-  if (router_ != nullptr) {
+  if (engine_ != nullptr) {
     // Cross-shard deliveries must land at or after the conservative
-    // window's end; the latency model's floor sizes the engine's static
-    // window and floors its adaptive lookahead, so it must be a real
-    // millisecond (zero-delay packets would race the epoch barrier).
+    // window's end; the latency model's floor sizes the engine's
+    // window, so it must be a real millisecond (zero-delay packets
+    // would race the epoch barrier).
     NYLON_EXPECTS(latency_->min_delay() >= 1);
   }
 }
 
-sim::sim_time transport::lookahead() const noexcept {
-  sim::sim_time look = sim::time_never;
-  for (std::size_t c = 0; c < latency_->class_count(); ++c) {
-    if (!latency_->class_live(c)) continue;
-    look = std::min(look, latency_->class_min_delay(c));
-  }
-  return look;
-}
-
-node_id transport::add_node(nat::nat_type type, endpoint_handler& handler) {
+node_id transport::add_node(nat::nat_type type, endpoint_handler& handler,
+                            util::rng& rng) {
   const auto id = static_cast<node_id>(node_count_++);
   node_shard& shard = node_shards_[shard_of_node(id)];
   NYLON_ENSURES(shard.hot.size() == slot_of(id));  // ids interleave densely
@@ -134,6 +126,7 @@ node_id transport::add_node(nat::nat_type type, endpoint_handler& handler) {
   shard.hot.push_back(hot);
   shard.traffic.emplace_back();
   shard.handler.push_back(&handler);
+  shard.rng.push_back(&rng);
   shard.send_seq.push_back(0);
   shard.device_owner.push_back(std::move(device));
   obs::count(obs::counter::nodes_added);
@@ -244,7 +237,7 @@ void transport::send(node_id from, const endpoint& to, payload_ptr body) {
   // The sending peer's own clock: its shard scheduler mid-epoch, the
   // universe scheduler in serial mode.
   const sim::sim_time now =
-      router_ != nullptr ? router_->scheduler_of(src_shard).now()
+      engine_ != nullptr ? engine_->shard_scheduler(src_shard).now()
                          : sched_.now();
   endpoint source_ep;
   if (src.device != nullptr) {
@@ -262,9 +255,6 @@ void transport::send(node_id from, const endpoint& to, payload_ptr body) {
   obs::count(static_cast<obs::counter>(
       static_cast<std::size_t>(obs::counter::msg_request) +
       static_cast<std::size_t>(kind)));
-  if (kind == message_kind::other) {  // cold path: non-protocol payloads
-    counters.other[body->type_name()] += bytes;
-  }
 
   // Flight-recorder sampling (obs/msglog.h): the tag is a pure hash of
   // digest-pinned send facts — sender, the sender's message ordinal, the
@@ -283,9 +273,7 @@ void transport::send(node_id from, const endpoint& to, payload_ptr body) {
         {msg_tag, now, from, dst, obs::hop_kind::send, kind_name, nullptr});
   }
 
-  // Per-peer rng streams in shard mode: the draw sequence belongs to the
-  // sender, so it is independent of how peers are partitioned.
-  util::rng& rng = router_ != nullptr ? router_->rng_of(from) : rng_;
+  util::rng& rng = *shard.rng[src_slot];
   if (cfg_.loss_rate > 0.0 && rng.bernoulli(cfg_.loss_rate)) {
     count_drop(src_shard, drop_reason::random_loss);
     if (msg_tag != 0) {
@@ -313,7 +301,7 @@ void transport::send(node_id from, const endpoint& to, payload_ptr body) {
   // captures keep every delivery closure trivially copyable.
   const payload* raw = body.get();
   lease_payload(src_shard, now + delay, std::move(body), now);
-  if (router_ == nullptr) {
+  if (engine_ == nullptr) {
     sched_.after(delay, [this, from, source_ep, to, raw, bytes, msg_tag] {
       deliver(0, from, source_ep, to, raw, bytes, msg_tag);
     });
@@ -325,11 +313,11 @@ void transport::send(node_id from, const endpoint& to, payload_ptr body) {
   // re-resolved at delivery time, where a mid-flight NAT rebind turns the
   // packet into an unknown_destination drop exactly like the serial path.
   const node_id owner = owner_of(to.ip);
-  const std::size_t dst_shard =
-      owner != nil_node ? router_->shard_of(owner)
-                        : to.ip.value % router_->shard_count();
+  const std::size_t dst_shard = owner != nil_node
+                                    ? shard_of_node(owner)
+                                    : to.ip.value % shard_count_;
   const std::uint64_t seq = ++shard.send_seq[src_slot];
-  router_->post(router_->shard_of(from), dst_shard, now + delay, from, seq,
+  engine_->post(src_shard, dst_shard, now + delay, from, seq,
                 [this, dst_shard, from, source_ep, to, raw, bytes, msg_tag] {
                   deliver(dst_shard, from, source_ep, to, raw, bytes, msg_tag);
                 });
@@ -353,7 +341,7 @@ void transport::sweep_leases(lease_list& list, sim::sim_time now) {
   // relaxed read is safe because the floor is monotone and any stale
   // value only delays reclamation.
   const sim::sim_time reclaim_before =
-      router_ != nullptr ? router_->completed_through() + 1 : now;
+      engine_ != nullptr ? engine_->completed_through() + 1 : now;
   std::vector<payload_lease>& items = list.items;
   for (std::size_t i = 0; i < items.size();) {
     if (items[i].release_at < reclaim_before) {
@@ -369,7 +357,7 @@ void transport::deliver(std::size_t shard, node_id from, endpoint source,
                         endpoint to, const payload* body, std::size_t bytes,
                         std::uint64_t msg_tag) {
   const sim::sim_time now =
-      router_ != nullptr ? router_->scheduler_of(shard).now() : sched_.now();
+      engine_ != nullptr ? engine_->shard_scheduler(shard).now() : sched_.now();
   // Flight-recorder hop for a terminated message; observation-only.
   const auto record_drop = [&](drop_reason reason, std::uint64_t dst_id) {
     if (msg_tag != 0) {
@@ -480,7 +468,6 @@ void transport::reset_traffic() {
   }
   for (counter_block& block : counters_) {
     for (std::uint64_t& b : block.by_kind) b = 0;
-    block.other.clear();
   }
 }
 
@@ -490,20 +477,6 @@ std::uint64_t transport::bytes_by_kind(message_kind kind) const noexcept {
     total += block.by_kind[static_cast<std::size_t>(kind)];
   }
   return total;
-}
-
-std::unordered_map<std::string_view, std::uint64_t> transport::bytes_by_type()
-    const {
-  std::unordered_map<std::string_view, std::uint64_t> out;
-  for (const counter_block& block : counters_) {
-    for (const auto& [name, bytes] : block.other) out[name] += bytes;
-  }
-  for (std::size_t k = 0; k < static_cast<std::size_t>(message_kind::other);
-       ++k) {
-    const std::uint64_t bytes = bytes_by_kind(static_cast<message_kind>(k));
-    if (bytes > 0) out[to_string(static_cast<message_kind>(k))] = bytes;
-  }
-  return out;
 }
 
 std::uint64_t transport::drops(drop_reason reason) const {

@@ -12,7 +12,6 @@
 #include <optional>
 #include <span>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "nat/nat_device.h"
@@ -22,6 +21,7 @@
 #include "net/message.h"
 #include "net/node_id.h"
 #include "sim/scheduler.h"
+#include "sim/shard_engine.h"
 #include "util/flat_hash.h"
 #include "util/rng.h"
 
@@ -34,43 +34,6 @@ class endpoint_handler {
  public:
   virtual ~endpoint_handler() = default;
   virtual void on_datagram(const datagram& dgram) = 0;
-};
-
-/// Shard-mode hooks, implemented by the runtime layer when one universe
-/// runs on the sharded engine (see sim/shard_engine.h and DESIGN.md's
-/// "Sharded determinism contract"). With a router installed the
-/// transport:
-///  * reads clocks from the executing peer's shard scheduler instead of
-///    the (control-plane) scheduler it was constructed with,
-///  * draws loss and latency from the *sending peer's* dedicated rng —
-///    per-peer streams are what make results independent of the shard
-///    count, and
-///  * routes deliveries through the router's canonical cross-shard
-///    channels instead of scheduling them directly.
-/// Without a router (the default), behaviour is bit-identical to the
-/// classic serial engine.
-class shard_router {
- public:
-  virtual ~shard_router() = default;
-
-  [[nodiscard]] virtual std::size_t shard_count() const noexcept = 0;
-  /// The shard owning `id`'s peer (stable for the node's lifetime).
-  [[nodiscard]] virtual std::size_t shard_of(node_id id) const noexcept = 0;
-  [[nodiscard]] virtual sim::scheduler& scheduler_of(
-      std::size_t shard) noexcept = 0;
-  /// The node's dedicated rng stream.
-  [[nodiscard]] virtual util::rng& rng_of(node_id id) noexcept = 0;
-  /// Buffers `fn` to run on `dst_shard` at `at`, canonically ordered by
-  /// (at, order_a, order_b) at the next epoch barrier.
-  virtual void post(std::size_t src_shard, std::size_t dst_shard,
-                    sim::sim_time at, std::uint64_t order_a,
-                    std::uint64_t order_b, util::callback fn) = 0;
-  /// Latest sim time through which *every* shard has provably finished
-  /// executing (monotone; may be read mid-epoch from worker threads).
-  /// The payload-lease sweep reclaims against this floor — the clock-
-  /// plus-window bound the serial path uses is unsound under adaptive
-  /// epochs, where one epoch can stride far beyond the latency floor.
-  [[nodiscard]] virtual sim::sim_time completed_through() const noexcept = 0;
 };
 
 /// Why a datagram was not delivered.
@@ -113,8 +76,16 @@ class transport {
   // --- topology -------------------------------------------------------------
 
   /// Registers a node of the given NAT type; allocates its addresses and
-  /// (for natted types) its NAT device. Returns its dense id.
-  node_id add_node(nat::nat_type type, endpoint_handler& handler);
+  /// (for natted types) its NAT device. Returns its dense id. The node's
+  /// loss and latency draws come from `rng` (which must outlive the
+  /// transport); the two-argument form uses the transport's shared rng.
+  /// In shard mode each node needs its own stream: the draw sequence then
+  /// belongs to the sender, independent of how peers are partitioned.
+  node_id add_node(nat::nat_type type, endpoint_handler& handler,
+                   util::rng& rng);
+  node_id add_node(nat::nat_type type, endpoint_handler& handler) {
+    return add_node(type, handler, rng_);
+  }
 
   /// Fail-stop removal: the node silently stops sending and receiving.
   /// Its NAT box keeps existing (packets die behind it).
@@ -213,7 +184,7 @@ class transport {
   // --- accounting -------------------------------------------------------------
 
   [[nodiscard]] const node_traffic& traffic(node_id id) const;
-  /// Zeroes all per-node and per-type counters (used to measure steady
+  /// Zeroes all per-node and per-kind counters (used to measure steady
   /// state after a warm-up phase).
   void reset_traffic();
   [[nodiscard]] std::uint64_t drops(drop_reason reason) const;
@@ -221,11 +192,6 @@ class transport {
   /// Bytes sent for one protocol kind (sums the per-shard blocks; one
   /// block in serial mode).
   [[nodiscard]] std::uint64_t bytes_by_kind(message_kind kind) const noexcept;
-  /// Bytes by payload type name (REQUEST, OPEN_HOLE, ...), assembled from
-  /// the per-kind counters plus the by-name overflow for `other`
-  /// payloads. Built on demand — call it for reporting, not per packet.
-  [[nodiscard]] std::unordered_map<std::string_view, std::uint64_t>
-  bytes_by_type() const;
 
   /// Periodically drops expired NAT state to bound memory; call it from a
   /// maintenance timer (scenario sets one up).
@@ -241,31 +207,32 @@ class transport {
 
   // --- shard mode -------------------------------------------------------------
 
-  /// Installs (or clears, with nullptr) the shard-mode hooks. The router
-  /// must outlive the transport; install it before any node is added or
-  /// traffic flows.
-  void set_shard_router(shard_router* router);
-  [[nodiscard]] bool sharded() const noexcept { return router_ != nullptr; }
-
-  /// Conservative lookahead for the sharded engine's adaptive windows:
-  /// an exact lower bound on the delay of any message schedulable from
-  /// now on — the minimum over the latency model's *live* classes (see
-  /// latency_model::class_live). Queried between epochs, where the
-  /// latency state is barrier-stable.
-  [[nodiscard]] sim::sim_time lookahead() const noexcept;
+  /// Runs the transport on the sharded engine (or back on the serial
+  /// one, with nullptr); see sim/shard_engine.h and DESIGN.md's "Sharded
+  /// determinism contract". With an engine installed the transport:
+  ///  * reads clocks from the executing peer's shard scheduler instead of
+  ///    the (control-plane) scheduler it was constructed with,
+  ///  * partitions nodes across the engine's shards by `shard_of_node`,
+  ///  * posts deliveries through the engine's canonical cross-shard
+  ///    channels instead of scheduling them directly, and
+  ///  * reclaims payload leases against the engine's completed floor.
+  /// Without one (the default), behaviour is bit-identical to the
+  /// classic serial engine. The engine must outlive the transport;
+  /// install it before any node is added or traffic flows.
+  void set_shard_engine(sim::shard_engine* engine);
 
   /// The scheduler `id`'s peer must use for its own timers: its shard's
   /// scheduler when sharded, the universe scheduler otherwise.
   [[nodiscard]] sim::scheduler& scheduler_for(node_id id) noexcept {
-    return router_ != nullptr ? router_->scheduler_of(router_->shard_of(id))
+    return engine_ != nullptr ? engine_->shard_scheduler(shard_of_node(id))
                               : sched_;
   }
 
   /// The clock `id`'s peer observes from inside its own events (its
   /// shard clock when sharded; identical to scheduler_now() otherwise).
   [[nodiscard]] sim::sim_time now_for(node_id id) const noexcept {
-    return router_ != nullptr
-               ? router_->scheduler_of(router_->shard_of(id)).now()
+    return engine_ != nullptr
+               ? engine_->shard_scheduler(shard_of_node(id)).now()
                : sched_.now();
   }
 
@@ -329,14 +296,16 @@ class transport {
     std::vector<node_hot> hot;
     std::vector<node_traffic> traffic;
     std::vector<endpoint_handler*> handler;
+    /// The stream the node's loss and latency draws come from.
+    std::vector<util::rng*> rng;
     /// Monotonic per-sender packet number: the canonical cross-shard
     /// tiebreak (never reset, unlike the traffic counters).
     std::vector<std::uint64_t> send_seq;
     std::vector<std::unique_ptr<nat::nat_device>> device_owner;
   };
 
-  /// Node ids interleave across shards (id % K, matching the runtime's
-  /// shard_of) with dense per-shard slots id / K.
+  /// Node ids interleave across shards (id % K) with dense per-shard
+  /// slots id / K. The one owner of the partition rule.
   [[nodiscard]] std::size_t shard_of_node(node_id id) const noexcept {
     return id % shard_count_;
   }
@@ -359,8 +328,6 @@ class transport {
     std::uint64_t drops[static_cast<std::size_t>(drop_reason::count_)] = {};
     std::uint64_t by_kind[static_cast<std::size_t>(message_kind::count_)] =
         {};
-    /// By-name accounting for payloads outside the protocol enum.
-    std::unordered_map<std::string_view, std::uint64_t> other;
   };
 
   /// In-flight payload ownership. Delivery closures capture the payload
@@ -372,12 +339,11 @@ class transport {
   ///  * serial: every event before the current timestamp has executed,
   ///    so a lease with `release_at < now` is dead;
   ///  * sharded: the engine publishes the globally completed time floor
-  ///    (router->completed_through()); a lease with
+  ///    (shard_engine::completed_through()); a lease with
   ///    `release_at <= floor` has executed on its destination shard no
   ///    matter how epochs were cut. (The sender's own clock bounds
-  ///    nothing under adaptive windows — one epoch can stride
-  ///    arbitrarily far past the latency floor while a same-epoch
-  ///    delivery on another shard has not run yet.)
+  ///    nothing: mid-epoch, another shard may not yet have run a
+  ///    delivery timed before it.)
   /// Sweeps are amortized over sends; leftover leases die with the
   /// transport (workers parked, so the refcounts are safe to touch).
   struct payload_lease {
@@ -419,7 +385,7 @@ class transport {
   util::rng& rng_;
   std::unique_ptr<latency_model> latency_;
   transport_config cfg_;
-  shard_router* router_ = nullptr;  ///< null = classic serial engine
+  sim::shard_engine* engine_ = nullptr;  ///< null = classic serial engine
   /// Real-socket carrier for the in-flight leg (null = scheduler events).
   transport_backend* backend_ = nullptr;
   /// Frame serializer (null = payload structs fly as-is).

@@ -32,7 +32,7 @@ struct epoch_profile {
   std::vector<shard_profile> shards;
   std::uint64_t epochs = 0;
   /// Epoch widths in sim-ms (grid points per epoch): the direct read on
-  /// how far the engine strides per epoch (up to t_min + lookahead, far
+  /// how far the engine strides per epoch (up to t_min + window, far
   /// wider than the latency floor over quiet stretches).
   std::int64_t epoch_width_ms_max = 0;
   double epoch_width_ms_mean = 0.0;

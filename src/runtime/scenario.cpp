@@ -44,19 +44,14 @@ scenario::scenario(const experiment_config& cfg) : cfg_(cfg), rng_(cfg.seed) {
   std::unique_ptr<net::latency_model> latency = make_latency(cfg_);
   if (cfg_.shards > 0) {
     // Conservative window = the latency floor: every packet posted
-    // during an epoch then lands strictly after the epoch barrier.
+    // during an epoch then lands at or after the epoch barrier.
     const sim::sim_time window = latency->min_delay();
     NYLON_EXPECTS(window >= 1);
-    // The lookahead provider defers to the transport (constructed just
-    // below), so epochs see the live latency-class floor, not a snapshot
-    // taken at build time.
-    shards_ = std::make_unique<sim::shard_engine>(
-        cfg_.shards, window,
-        [this]() noexcept { return transport_->lookahead(); });
+    shards_ = std::make_unique<sim::shard_engine>(cfg_.shards, window);
   }
   transport_ = std::make_unique<net::transport>(sched_, rng_,
                                                 std::move(latency), tcfg);
-  if (shards_ != nullptr) transport_->set_shard_router(this);
+  if (shards_ != nullptr) transport_->set_shard_engine(shards_.get());
   switch (cfg_.transport) {
     case transport_kind::sim:
       break;
@@ -89,7 +84,8 @@ scenario::scenario(const experiment_config& cfg) : cfg_(cfg), rng_(cfg.seed) {
     util::rng& peer_rng = shards_ != nullptr ? peer_rng_for(id) : rng_;
     auto p = core::make_peer(cfg_.protocol, *transport_, peer_rng,
                              cfg_.gossip);
-    const net::node_id assigned = transport_->add_node(types[i], *p);
+    const net::node_id assigned =
+        transport_->add_node(types[i], *p, peer_rng);
     NYLON_ENSURES(assigned == id);
     p->attach(id);
     peers_.push_back(std::move(p));
@@ -121,34 +117,6 @@ util::rng& scenario::peer_rng_for(net::node_id id) {
         cfg_.seed, peer_stream_base + peer_rngs_.size()));
   }
   return peer_rngs_[id];
-}
-
-// --- net::shard_router -------------------------------------------------------
-
-std::size_t scenario::shard_count() const noexcept {
-  return shards_->shard_count();
-}
-
-std::size_t scenario::shard_of(net::node_id id) const noexcept {
-  return id % shards_->shard_count();
-}
-
-sim::scheduler& scenario::scheduler_of(std::size_t shard) noexcept {
-  return shards_->shard_scheduler(shard);
-}
-
-util::rng& scenario::rng_of(net::node_id id) noexcept {
-  return peer_rngs_[id];
-}
-
-sim::sim_time scenario::completed_through() const noexcept {
-  return shards_->completed_through();
-}
-
-void scenario::post(std::size_t src_shard, std::size_t dst_shard,
-                    sim::sim_time at, std::uint64_t order_a,
-                    std::uint64_t order_b, util::callback fn) {
-  shards_->post(src_shard, dst_shard, at, order_a, order_b, std::move(fn));
 }
 
 // --- time --------------------------------------------------------------------
@@ -349,7 +317,7 @@ net::node_id scenario::add_peer(std::optional<nat::nat_type> type) {
   const auto id = static_cast<net::node_id>(peers_.size());
   util::rng& peer_rng = shards_ != nullptr ? peer_rng_for(id) : rng_;
   auto p = core::make_peer(cfg_.protocol, *transport_, peer_rng, cfg_.gossip);
-  const net::node_id assigned = transport_->add_node(chosen, *p);
+  const net::node_id assigned = transport_->add_node(chosen, *p, peer_rng);
   NYLON_ENSURES(assigned == id);
   p->attach(id);
 

@@ -4,12 +4,14 @@
 // Two execution engines behind one API (selected by config.shards):
 //  * shards == 0 — the classic serial engine: one scheduler, one shared
 //    rng, golden-digest pinned (DESIGN.md "Determinism contract").
-//  * shards == K >= 1 — the sharded universe engine: peers partitioned
-//    across K shards by node_id (id % K), each shard a full scheduler
-//    clone advancing in lockstep epochs, per-peer rng streams, and
-//    canonical cross-shard packet channels. Results are byte-identical
-//    for every K (DESIGN.md "Sharded determinism contract") but form a
-//    distinct deterministic stream from the serial engine.
+//  * shards == K >= 1 — the sharded universe engine: the transport is
+//    handed the sim::shard_engine and partitions peers across its K
+//    shards by node_id, each shard a full scheduler clone advancing in
+//    lockstep epochs of the latency floor's width; every peer gets its
+//    own rng stream (at add_node) and packets cross shards through the
+//    engine's canonical channels. Results are byte-identical for every
+//    K (DESIGN.md "Sharded determinism contract") but form a distinct
+//    deterministic stream from the serial engine.
 // All mutation entry points below are control-plane operations: in shard
 // mode they run at epoch barriers, where every shard is parked at the
 // same simulated time.
@@ -50,7 +52,7 @@ struct punch_stat_totals {
   util::running_stats rvp_chains;
 };
 
-class scenario : private net::shard_router {
+class scenario {
  public:
   /// Builds the whole system: assigns NAT types, creates peers, seeds
   /// views with random public peers (§5 bootstrap) and schedules every
@@ -197,17 +199,6 @@ class scenario : private net::shard_router {
   [[nodiscard]] punch_stat_totals punch_totals() const;
 
  private:
-  // --- net::shard_router (shard mode only) -----------------------------------
-  [[nodiscard]] std::size_t shard_count() const noexcept override;
-  [[nodiscard]] std::size_t shard_of(net::node_id id) const noexcept override;
-  [[nodiscard]] sim::scheduler& scheduler_of(
-      std::size_t shard) noexcept override;
-  [[nodiscard]] util::rng& rng_of(net::node_id id) noexcept override;
-  [[nodiscard]] sim::sim_time completed_through() const noexcept override;
-  void post(std::size_t src_shard, std::size_t dst_shard, sim::sim_time at,
-            std::uint64_t order_a, std::uint64_t order_b,
-            util::callback fn) override;
-
   /// The dedicated rng stream for peer `id` (shard mode), created on
   /// first use in id order. Streams derive from (seed, id), so they are
   /// independent of the shard count and of join order timing.

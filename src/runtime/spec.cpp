@@ -1339,6 +1339,11 @@ void write_timeline_csv(const std::string& path,
 
 util::json run_spec(const experiment_spec& spec, const spec_options& opt,
                     std::ostream& out) {
+  // Scale options arrive from the command line; a negative value would
+  // otherwise clamp into an empty run or wrap around as a size.
+  if (opt.peers < 2) bad("peers must be >= 2");
+  if (opt.seeds < 1) bad("seeds must be >= 1");
+  if (opt.rounds < 0) bad("rounds must be >= 0");
   spec.validate();
 
   const spec_profile* prof = nullptr;

@@ -236,7 +236,8 @@ struct spec_options {
 /// `out`, writes the JSON report
 /// to opt.json when set, and returns the report document. Check verdicts
 /// (when the spec has any) land under "checks"; all_checks_passed() says
-/// whether the driver should exit non-zero.
+/// whether the driver should exit non-zero. Throws nylon::contract_error
+/// when opt.peers < 2, opt.seeds < 1 or opt.rounds < 0.
 util::json run_spec(const experiment_spec& spec, const spec_options& opt,
                     std::ostream& out);
 

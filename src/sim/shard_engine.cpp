@@ -150,9 +150,8 @@ struct shard_engine::worker_pool {
   std::exception_ptr error;
 };
 
-shard_engine::shard_engine(std::size_t shards, sim_time window,
-                           lookahead_fn lookahead)
-    : window_(window), lookahead_(std::move(lookahead)) {
+shard_engine::shard_engine(std::size_t shards, sim_time window)
+    : window_(window) {
   NYLON_EXPECTS(shards >= 1);
   NYLON_EXPECTS(window > 0);
   shards_.reserve(shards);
@@ -226,16 +225,14 @@ sim_time shard_engine::next_epoch_end(sim_time bound) const {
   // The earliest pending event anywhere (staging lanes included — the
   // engine cuts epochs on next_event_time, which covers both) bounds what
   // this epoch can execute; nothing executing at >= t_min can schedule
-  // before t_min + lookahead. Idle shards contribute time_never and never
+  // before t_min + window. Idle shards contribute time_never and never
   // constrain the stride.
   sim_time t_min = time_never;
   for (const auto& s : shards_) {
     t_min = std::min(t_min, s->sched.next_event_time());
   }
   if (t_min >= bound) return bound;  // nothing due before the deadline
-  const sim_time look =
-      lookahead_ ? std::max(window_, lookahead_()) : window_;
-  return std::min(bound, t_min + look);
+  return std::min(bound, t_min + window_);
 }
 
 void shard_engine::run_epoch(sim_time end) {

@@ -17,11 +17,11 @@
 // Conservative-window synchronization: epochs are half-open spans
 // [start, end) of the millisecond grid, and every cross-shard event
 // posted during an epoch must land at or after the epoch's end (`post`
-// asserts it). The end is end = t_min + L, where t_min is the earliest
-// pending event across all shards (staging lanes included) and L is the
-// per-epoch lookahead (>= the floor W; supplied by the transport from
-// its latency model's live classes). Any event executing this epoch has
-// timestamp >= t_min, so its sends land at >= t_min + L = end. Quiet
+// asserts it). The end is end = t_min + W, where t_min is the earliest
+// pending event across all shards (staging lanes included) and W is the
+// window: the floor of every cross-shard delay (the runtime passes the
+// latency model's min_delay()). Any event executing this epoch has
+// timestamp >= t_min, so its sends land at >= t_min + W = end. Quiet
 // stretches — t_min far ahead, or no events at all — collapse into one
 // epoch instead of thousands of W-sized ones. A cross event is staged no
 // later than the barrier opening the epoch that executes it, so with the
@@ -47,7 +47,6 @@
 #include <atomic>
 #include <cstdint>
 #include <exception>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -60,17 +59,10 @@ namespace nylon::sim {
 
 class shard_engine {
  public:
-  /// Returns the current conservative lookahead: an exact lower bound on
-  /// the delay of any cross-shard event schedulable from now on. Queried
-  /// once per epoch, always between epochs (all shards parked).
-  using lookahead_fn = std::function<sim_time()>;
-
   /// `shards` >= 1 clones of the scheduler machinery; `window` > 0 is
-  /// the lookahead floor (at most the minimum cross-shard latency). An
-  /// empty `lookahead` means epochs use `window` as the lookahead (still
-  /// striding over quiet stretches via t_min).
-  shard_engine(std::size_t shards, sim_time window,
-               lookahead_fn lookahead = {});
+  /// the lookahead: at most the minimum cross-shard latency. Each epoch
+  /// strides to t_min + window.
+  shard_engine(std::size_t shards, sim_time window);
   ~shard_engine();
 
   shard_engine(const shard_engine&) = delete;
@@ -79,7 +71,6 @@ class shard_engine {
   [[nodiscard]] std::size_t shard_count() const noexcept {
     return shards_.size();
   }
-  [[nodiscard]] sim_time window() const noexcept { return window_; }
 
   /// Barrier time: every shard's clock equals this between run_until
   /// calls.
@@ -110,10 +101,9 @@ class shard_engine {
 
   /// Latest simulated time through which *every* shard has provably
   /// finished executing (monotone; -1 before the first epoch). The
-  /// transport's payload-lease sweep reclaims against this floor — the
-  /// only bound that stays valid under adaptive windows, where a shard
-  /// clock alone says nothing about the other shards' progress. Safe to
-  /// read from worker threads mid-epoch.
+  /// transport's payload-lease sweep reclaims against this floor — a
+  /// shard clock alone says nothing about the other shards' progress.
+  /// Safe to read from worker threads mid-epoch.
   [[nodiscard]] sim_time completed_through() const noexcept {
     return lease_floor_.load(std::memory_order_relaxed);
   }
@@ -182,7 +172,6 @@ class shard_engine {
   std::vector<std::unique_ptr<shard>> shards_;
   std::vector<shard_channel> channels_;  ///< K*K, row-major by source
   sim_time window_;
-  lookahead_fn lookahead_;
   sim_time now_ = 0;
   std::uint64_t epochs_ = 0;   ///< lockstep epochs completed
   sim_time width_sum_ = 0;     ///< total grid points covered by epochs

@@ -198,7 +198,6 @@ void engine::take_snapshot(std::size_t phase_index, const std::string& label) {
         metrics::measure_views(world_.transport(), world_.peers(), oracle);
   }
   trajectory_.push_back(s);
-  if (observer_) observer_(trajectory_.back());
 }
 
 void engine::run() {

@@ -68,11 +68,6 @@ class engine {
   /// The last snapshot taken. Requires at least one.
   [[nodiscard]] const snapshot& final() const;
 
-  /// Called on every snapshot as it is taken (progress displays).
-  void set_observer(std::function<void(const snapshot&)> observer) {
-    observer_ = std::move(observer);
-  }
-
   [[nodiscard]] std::size_t joined() const noexcept { return joined_; }
   [[nodiscard]] std::size_t departed() const noexcept { return departed_; }
 
@@ -120,7 +115,6 @@ class engine {
   std::vector<std::unique_ptr<std::function<void(sim::sim_time)>>>
       poisson_chains_;
   std::vector<snapshot> trajectory_;
-  std::function<void(const snapshot&)> observer_;
   std::size_t joined_ = 0;
   std::size_t departed_ = 0;
   // Live context for the trajectory sampler callback: the phase being

@@ -30,8 +30,12 @@ struct shard_run {
   std::string trajectory;
 };
 
+/// The paper's fixed latency and no loss, or a lossy jittered network:
+/// the latter makes every send draw from the sender's rng stream.
+enum class network : std::uint8_t { paper, lossy_jitter };
+
 shard_run run_world(core::protocol_kind protocol, std::size_t shards,
-                    std::uint64_t seed) {
+                    std::uint64_t seed, network net = network::paper) {
   runtime::experiment_config cfg;
   cfg.peer_count = 200;
   cfg.natted_fraction = 0.6;
@@ -39,6 +43,12 @@ shard_run run_world(core::protocol_kind protocol, std::size_t shards,
   cfg.gossip.view_size = 8;
   cfg.seed = seed;
   cfg.shards = shards;
+  if (net == network::lossy_jitter) {
+    cfg.latency_model = runtime::experiment_config::latency_kind::uniform;
+    cfg.latency = sim::millis(20);
+    cfg.latency_max = sim::millis(80);
+    cfg.loss_rate = 0.02;
+  }
 
   runtime::scenario world(cfg);
   const sim::sim_time period = cfg.gossip.shuffle_period;
@@ -78,13 +88,14 @@ shard_run run_world(core::protocol_kind protocol, std::size_t shards,
 /// K = 1 is the reference stream; every other K must reproduce it bit
 /// for bit — trajectory (full per-period metrics), digest, counters.
 void expect_equal_across_shards(core::protocol_kind protocol,
-                                std::uint64_t seed) {
-  const shard_run reference = run_world(protocol, 1, seed);
+                                std::uint64_t seed,
+                                network net = network::paper) {
+  const shard_run reference = run_world(protocol, 1, seed, net);
   EXPECT_GT(reference.alive, 0u);
   EXPECT_GT(reference.events, 0u);
   for (const std::size_t k : {std::size_t{2}, std::size_t{3},
                               std::size_t{8}}) {
-    const shard_run run = run_world(protocol, k, seed);
+    const shard_run run = run_world(protocol, k, seed, net);
     EXPECT_EQ(run.digest, reference.digest) << "shards=" << k;
     EXPECT_EQ(run.events, reference.events) << "shards=" << k;
     EXPECT_EQ(run.drops, reference.drops) << "shards=" << k;
@@ -97,8 +108,11 @@ TEST(shard_determinism, nylon_identical_for_k_1_2_3_8) {
   expect_equal_across_shards(core::protocol_kind::nylon, 2026);
 }
 
+/// On a lossy jittered network, so a send whose loss or latency draw
+/// came from a shared stream instead of the sender's would show here.
 TEST(shard_determinism, reference_identical_for_k_1_2_3_8) {
-  expect_equal_across_shards(core::protocol_kind::reference, 7);
+  expect_equal_across_shards(core::protocol_kind::reference, 7,
+                             network::lossy_jitter);
 }
 
 /// Same config, same shard count, run twice: the sharded engine is also

@@ -78,8 +78,10 @@ TEST(probe_registry, evaluates_on_a_real_scenario) {
   const std::vector<std::string> names{
       "alive_count", "biggest_cluster_pct", "stale_pct",
       "all_bytes_per_s", "shuffle_success_pct", "punch_success_pct"};
-  const std::vector<double> values = run_probes(names, ctx);
-  ASSERT_EQ(values.size(), names.size());
+  std::vector<double> values;
+  for (const std::string& name : names) {
+    values.push_back(eval_scalar(resolve_selector(name, {}, {}), ctx));
+  }
   EXPECT_EQ(values[0], 50.0);                      // alive_count
   EXPECT_GT(values[1], 0.0);                       // cluster %
   EXPECT_LE(values[1], 100.0);
@@ -112,12 +114,7 @@ TEST(probe_registry, rate_probes_need_a_window) {
 }
 
 TEST(probe_registry, unknown_probe_name_is_a_contract_error) {
-  runtime::scenario world(small_config(core::protocol_kind::reference));
-  world.run_periods(1);
-  const reachability_oracle oracle = world.oracle();
-  const probe_context ctx{world, oracle, 0};
-  const std::vector<std::string> names{"stale_pct", "bogus"};
-  EXPECT_THROW((void)run_probes(names, ctx), contract_error);
+  EXPECT_THROW((void)resolve_selector("bogus", {}, {}), contract_error);
 }
 
 TEST(probe_registry, per_class_probe_matches_the_underlying_report) {

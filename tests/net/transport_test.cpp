@@ -187,10 +187,11 @@ TEST_F(transport_test, reset_traffic_zeroes_counters) {
   const node_id idb = transport_.add_node(nat::nat_type::open, b);
   transport_.send(ida, transport_.advertised_endpoint(idb), body());
   sched_.run_for(sim::millis(100));
+  EXPECT_GT(transport_.bytes_by_kind(message_kind::other), 0u);
   transport_.reset_traffic();
   EXPECT_EQ(transport_.traffic(ida).bytes_sent, 0u);
   EXPECT_EQ(transport_.traffic(idb).bytes_received, 0u);
-  EXPECT_TRUE(transport_.bytes_by_type().empty());
+  EXPECT_EQ(transport_.bytes_by_kind(message_kind::other), 0u);
 }
 
 TEST_F(transport_test, bytes_by_type_accumulates) {
@@ -201,8 +202,10 @@ TEST_F(transport_test, bytes_by_type_accumulates) {
   transport_.send(ida, transport_.advertised_endpoint(idb), body(10));
   transport_.send(ida, transport_.advertised_endpoint(idb), body(20));
   sched_.run_for(sim::millis(100));
-  EXPECT_EQ(transport_.bytes_by_type().at("TEST"),
+  // Payloads outside the protocol enum share the `other` counter.
+  EXPECT_EQ(transport_.bytes_by_kind(message_kind::other),
             10 + 20 + 2 * udp_header_bytes);
+  EXPECT_EQ(transport_.bytes_by_kind(message_kind::request), 0u);
 }
 
 TEST_F(transport_test, would_deliver_matches_reality_public) {
@@ -259,6 +262,44 @@ TEST_F(transport_test, loss_rate_drops_messages) {
   sched.run_for(sim::millis(10));
   EXPECT_TRUE(b.received.empty());
   EXPECT_EQ(lossy.drops(drop_reason::random_loss), 1u);
+}
+
+/// Loss and latency draws come from the rng a node was added with; the
+/// two-argument add_node keeps the transport's shared stream.
+TEST_F(transport_test, sends_draw_from_the_rng_given_at_add_node) {
+  // Two streams are in the same state iff they yield the same next value
+  // (compared on copies, so the check draws nothing itself).
+  const auto same_state = [](util::rng a, util::rng b) { return a() == b(); };
+  sim::scheduler sched;
+  util::rng shared(3);
+  util::rng own(4);
+  transport_config cfg;
+  cfg.loss_rate = 0.5;
+  transport net(sched, shared,
+                std::make_unique<uniform_latency>(sim::millis(10),
+                                                  sim::millis(90)),
+                cfg);
+  recorder a;
+  recorder b;
+  const node_id ida = net.add_node(nat::nat_type::open, a, own);
+  const node_id idb = net.add_node(nat::nat_type::open, b);
+
+  util::rng shared_mark = shared;
+  util::rng own_mark = own;
+  for (int i = 0; i < 20; ++i) {
+    net.send(ida, net.advertised_endpoint(idb), make_payload<test_payload>());
+  }
+  sched.run_for(sim::millis(100));
+  EXPECT_GT(b.received.size(), 0u);
+  EXPECT_GT(net.drops(drop_reason::random_loss), 0u);
+  EXPECT_TRUE(same_state(shared, shared_mark));
+  EXPECT_FALSE(same_state(own, own_mark));
+
+  shared_mark = shared;
+  own_mark = own;
+  net.send(idb, net.advertised_endpoint(ida), make_payload<test_payload>());
+  EXPECT_FALSE(same_state(shared, shared_mark));
+  EXPECT_TRUE(same_state(own, own_mark));
 }
 
 TEST_F(transport_test, node_metadata_accessors) {

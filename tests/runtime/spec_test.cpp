@@ -958,6 +958,23 @@ TEST(experiment_spec, bad_transport_token_throws) {
                contract_error);
 }
 
+TEST(experiment_spec, negative_scale_options_throw) {
+  const experiment_spec spec = parse(kMinimalSpec);
+  spec_options opt;
+  opt.peers = 30;
+  opt.rounds = -1;
+  opt.threads = 1;
+  std::ostringstream out;
+  EXPECT_THROW((void)run_spec(spec, opt, out), contract_error);
+  EXPECT_TRUE(out.str().empty());  // rejected before anything ran
+  opt.rounds = 2;
+  opt.seeds = 0;
+  EXPECT_THROW((void)run_spec(spec, opt, out), contract_error);
+  opt.seeds = 1;
+  opt.peers = 1;
+  EXPECT_THROW((void)run_spec(spec, opt, out), contract_error);
+}
+
 TEST(experiment_spec, example_spec_files_parse_and_validate) {
   const std::string dir = std::string(NYLON_SOURCE_DIR) + "/examples/specs/";
   for (const char* name :

