@@ -48,6 +48,7 @@
 #include <malloc.h>
 #endif
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -345,15 +346,13 @@ int main(int argc, char** argv) {
     std::cout << flags.usage("bench_scale");
     return 0;
   }
-  if (*shards < 0) {
-    std::cerr << "--shards must be >= 0 (0 = serial engine)\n"
-              << flags.usage("bench_scale");
+  const auto reject = [&flags](const std::string& why) {
+    std::cerr << why << "\n" << flags.usage("bench_scale");
     return 1;
-  }
+  };
+  if (*shards < 0) return reject("--shards must be >= 0 (0 = serial engine)");
   if (flags.provided("shards") && !sweep.empty()) {
-    std::cerr << "--shards and --sweep-shards are mutually exclusive\n"
-              << flags.usage("bench_scale");
-    return 1;
+    return reject("--shards and --sweep-shards are mutually exclusive");
   }
 
   // The million-peer profile layers defaults under flags the user did
@@ -367,10 +366,20 @@ int main(int argc, char** argv) {
     if (!flags.provided("churn-rounds")) *churn_rounds = 5;
     if (!flags.provided("arrivals")) *arrivals = 200.0;
   } else if (!profile_name->empty()) {
-    std::cerr << "unknown --profile '" << *profile_name
-              << "' (expected 'million')\n"
-              << flags.usage("bench_scale");
-    return 1;
+    return reject("unknown --profile '" + *profile_name +
+                  "' (expected 'million')");
+  }
+
+  // Scale flags are range-checked before any cast or allocation uses
+  // them (`--n -1` would otherwise reach vector::reserve as 2^64 - 1).
+  if (*n <= 0) return reject("--n must be > 0");
+  if (*warmup <= 0) return reject("--warmup must be > 0");
+  if (*churn_rounds <= 0) return reject("--churn-rounds must be > 0");
+  if (!(std::isfinite(*arrivals) && *arrivals > 0.0)) {
+    return reject("--arrivals must be a finite number > 0");
+  }
+  if (!(*rebind >= 0.0 && *rebind <= 1.0)) {
+    return reject("--rebind-frac must be in [0, 1]");
   }
 
   runtime::experiment_config cfg;

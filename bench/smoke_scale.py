@@ -9,6 +9,11 @@ Invoked by CMake as a tier-1 test so a layout or allocator change that
 breaks the determinism contract fails `ctest`, not just CI.
 
     bench/smoke_scale.py --bench build/bench_scale
+
+With --reject, it instead checks that each FLAG=VALUE given is refused
+up front: bench_scale must exit 1 with a usage message, not crash.
+
+    bench/smoke_scale.py --bench build/bench_scale --reject n=-1 n=0
 """
 
 import argparse
@@ -21,11 +26,31 @@ import tempfile
 SWEEP = (1, 2, 4)
 
 
+def reject(bench, cases):
+    for case in cases:
+        flag, _, value = case.partition("=")
+        cmd = [bench, "--" + flag, value]
+        print("+", " ".join(cmd), flush=True)
+        proc = subprocess.run(cmd, capture_output=True, text=True,
+                              timeout=60)
+        assert proc.returncode == 1, \
+            f"{case}: exit {proc.returncode}, stderr {proc.stderr[-300:]!r}"
+        assert f"--{flag}" in proc.stderr and "usage" in proc.stderr, \
+            f"{case}: no usage error: {proc.stderr[-300:]!r}"
+        assert not proc.stdout, f"{case}: ran anyway: {proc.stdout[:200]!r}"
+    print(f"ok: bench_scale refused {len(cases)} bad values")
+    return 0
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--bench", required=True,
                         help="path to the bench_scale binary")
+    parser.add_argument("--reject", nargs="+", metavar="FLAG=VALUE",
+                        help="bad flag values bench_scale must refuse")
     args = parser.parse_args()
+    if args.reject:
+        return reject(args.bench, args.reject)
 
     with tempfile.TemporaryDirectory(prefix="smoke_scale") as tmp:
         out = os.path.join(tmp, "BENCH_scale.json")

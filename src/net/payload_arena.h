@@ -24,11 +24,14 @@
 // the transport), so refcount traffic is shard-local by construction.
 // Cross-shard lifetime is handled by the transport's delivery leases,
 // not by the refcount (see transport.cpp). A freed block can be reused
-// by its owning thread immediately; blocks are returned to the freelist
-// of whichever thread releases the last reference, which by the same
-// contract is the thread that allocated it (or the main thread at
-// teardown, with the workers parked behind the epoch barrier — the
-// mutex/condvar pair gives the necessary happens-before).
+// by its owning thread immediately: the last reference is released on
+// the thread that allocated the block, which takes it back onto its
+// freelist. The one exception is teardown of a sharded universe, where
+// the main thread releases what the (parked) workers allocated — the
+// mutex/condvar pair gives the necessary happens-before — and hands
+// those blocks back to the system allocator: kept on the main thread's
+// freelist, which never allocates them again, they would pile up with
+// every universe a process builds.
 #pragma once
 
 #include <cstddef>
@@ -49,7 +52,9 @@ namespace arena_detail {
 struct alignas(std::max_align_t) block_header {
   std::uint32_t refs;
   std::uint32_t size_class;  ///< freelist bucket; `oversize` = plain new
+  const void* owner;         ///< the allocating thread's freelists
 };
+static_assert(sizeof(block_header) == alignof(std::max_align_t));
 
 /// Blocks are bucketed in 64-byte steps; anything above 4 KiB goes to
 /// the system allocator (rare: a gossip buffer is ~20 entries * 24 B).
@@ -104,6 +109,7 @@ inline freelists& local_freelists() {
     lists.live_bytes += block_bytes;
   }
   header->refs = 1;
+  header->owner = &lists;
   obs::count_peak(obs::counter::arena_bytes_peak, lists.live_bytes);
   return header + 1;
 }
@@ -112,10 +118,11 @@ inline freelists& local_freelists() {
 inline void recycle(const void* object) noexcept {
   block_header* header = header_of(object);
   freelists& lists = local_freelists();
-  if (header->size_class == oversize) {
+  if (header->size_class == oversize || header->owner != &lists) {
     // live_bytes under-reports the exact oversize block size here (the
     // byte count is not stored); oversize blocks are rare enough that
-    // the peak telemetry does not need them to the byte.
+    // the peak telemetry does not need them to the byte. A block from
+    // another thread (sharded teardown) stays in that thread's count.
     ::operator delete(header);
     return;
   }

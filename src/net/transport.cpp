@@ -150,17 +150,20 @@ node_id transport::owner_of(ip_address ip) const {
   return rebound != nullptr ? *rebound : nil_node;
 }
 
-void transport::remove_node(node_id id) {
+bool transport::delist_node(node_id id) {
   NYLON_EXPECTS(id < node_count_);
-  node_hot& hot = hot_of(id);
-  if (!hot.alive) return;  // idempotent: already removed
-  hot.alive = false;
-  obs::count(obs::counter::nodes_removed);
   std::vector<node_id>& list =
-      nat::is_natted(hot.type) ? alive_natted_ : alive_public_;
+      nat::is_natted(hot_of(id).type) ? alive_natted_ : alive_public_;
   const auto it = std::lower_bound(list.begin(), list.end(), id);
-  NYLON_ENSURES(it != list.end() && *it == id);
+  if (it == list.end() || *it != id) return false;  // already removed
   list.erase(it);
+  obs::count(obs::counter::nodes_removed);
+  return true;
+}
+
+void transport::mark_dead(node_id id) {
+  NYLON_EXPECTS(id < node_count_);
+  hot_of(id).alive = false;
 }
 
 bool transport::alive(node_id id) const {

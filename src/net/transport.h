@@ -88,8 +88,19 @@ class transport {
   }
 
   /// Fail-stop removal: the node silently stops sending and receiving.
-  /// Its NAT box keeps existing (packets die behind it).
-  void remove_node(node_id id);
+  /// Its NAT box keeps existing (packets die behind it). Idempotent. The
+  /// two halves below split it for departures staged on the sharded
+  /// engine: the alive lists are control-plane state, the liveness flag
+  /// belongs to the node's shard.
+  void remove_node(node_id id) {
+    if (delist_node(id)) mark_dead(id);
+  }
+  /// Takes the node off the alive lists; false when it was not on them.
+  bool delist_node(node_id id);
+  /// Clears the node's liveness flag, which its own sends and deliveries
+  /// to it read — so in shard mode only its shard (mid-epoch) or the
+  /// parked control plane may call this.
+  void mark_dead(node_id id);
 
   [[nodiscard]] std::size_t node_count() const noexcept {
     return node_count_;
@@ -106,7 +117,7 @@ class transport {
   /// vs natted) is fixed at add_node — migrations swap natted types only —
   /// so these lists turn the population scans behind churn draws and
   /// bootstrap candidate selection into O(alive) copies instead of O(n)
-  /// per-node liveness probes. Invalidated by add_node/remove_node.
+  /// per-node liveness probes. Invalidated by add_node/delist_node.
   [[nodiscard]] std::span<const node_id> alive_public() const noexcept {
     return alive_public_;
   }
@@ -268,6 +279,13 @@ class transport {
                        const endpoint& to, const payload* body,
                        std::size_t bytes);
 
+  /// Node ids interleave across shards (id % K) with dense per-shard
+  /// slots id / K. The one owner of the partition rule; the scenario
+  /// posts a staged departure to the departing node's shard through it.
+  [[nodiscard]] std::size_t shard_of_node(node_id id) const noexcept {
+    return id % shard_count_;
+  }
+
  private:
   /// Per-node metadata the send/deliver fast path reads, packed into one
   /// 32-byte record so two nodes share a cache line (the old all-in-one
@@ -304,11 +322,6 @@ class transport {
     std::vector<std::unique_ptr<nat::nat_device>> device_owner;
   };
 
-  /// Node ids interleave across shards (id % K) with dense per-shard
-  /// slots id / K. The one owner of the partition rule.
-  [[nodiscard]] std::size_t shard_of_node(node_id id) const noexcept {
-    return id % shard_count_;
-  }
   [[nodiscard]] std::size_t slot_of(node_id id) const noexcept {
     return id / shard_count_;
   }

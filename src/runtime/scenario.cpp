@@ -126,12 +126,13 @@ void scenario::run_periods(std::int64_t periods) {
   run_until(sched_.now() + periods * cfg_.gossip.shuffle_period);
 }
 
-void scenario::run_until(sim::sim_time deadline) {
+void scenario::run_until(sim::sim_time deadline,
+                         sim::staged_actions* staged) {
   const sim::sim_time next_tick = next_sample_time();
   if (next_tick > deadline) {
     // No sampler due before the deadline: the plain engine dispatch,
     // byte-for-byte the pre-sampler behavior.
-    run_until_plain(deadline);
+    run_until_plain(deadline, staged);
     obs::count_peak(obs::counter::sim_time_ms,
                     static_cast<std::uint64_t>(std::max<sim::sim_time>(
                         sched_.now(), 0)));
@@ -143,7 +144,7 @@ void scenario::run_until(sim::sim_time deadline) {
   // event stream — digests match the unsampled run byte-for-byte.
   for (;;) {
     const sim::sim_time target = std::min(deadline, next_sample_time());
-    run_until_plain(target);
+    run_until_plain(target, staged);
     fire_samplers(target);
     if (target >= deadline) break;
   }
@@ -152,25 +153,39 @@ void scenario::run_until(sim::sim_time deadline) {
                       sched_.now(), 0)));
 }
 
-void scenario::run_until_plain(sim::sim_time deadline) {
-  if (udp_ != nullptr) {
-    // Real-socket mode: the backend owns the clock (wall-paced), the
-    // sockets, and the scheduler advance.
-    udp_->run_until(deadline);
-    return;
-  }
+void scenario::run_until_plain(sim::sim_time deadline,
+                               sim::staged_actions* staged) {
   if (shards_ == nullptr) {
-    sched_.run_until(deadline);
+    // Serial and real-socket engines: each staged action runs at its
+    // exact time, after every event at or before it. In real-socket mode
+    // the backend owns the clock (wall-paced), the sockets, and the
+    // scheduler advance.
+    const auto advance = [this](sim::sim_time t) {
+      if (udp_ != nullptr) {
+        udp_->run_until(t);
+      } else {
+        sched_.run_until(t);
+      }
+    };
+    if (staged != nullptr) {
+      for (sim::sim_time at = staged->next_time(); at < deadline;
+           at = staged->next_time()) {
+        advance(at);
+        staged->run_next();
+      }
+    }
+    advance(deadline);
     return;
   }
   NYLON_EXPECTS(deadline >= sched_.now());
   // Lockstep epochs, cut short at control-event times (NAT GC) so those
   // run at their exact timestamps — after every shard event at or before
-  // them, like workload actions.
+  // them, like cut workload actions. Staged actions ride inside the
+  // epochs and never pass a NAT GC instant.
   for (;;) {
     const sim::sim_time next_control = sched_.next_event_time();
     const sim::sim_time target = std::min(deadline, next_control);
-    shards_->run_until(target);
+    shards_->run_until(target, staged);
     sched_.run_until(target);
     if (target >= deadline) break;
   }
@@ -303,13 +318,34 @@ std::size_t scenario::migrate_fraction(double fraction,
   });
 }
 
-void scenario::remove_peer(net::node_id id) {
+bool scenario::depart_peer_at(net::node_id id, sim::sim_time at) {
   NYLON_EXPECTS(id < peers_.size());
-  peers_[id]->stop();
-  transport_->remove_node(id);
+  NYLON_EXPECTS(at >= sched_.now());
+  if (!transport_->delist_node(id)) return false;  // already gone
+  gossip::peer& p = *peers_[id];
+  const bool joined_at_this_instant =
+      at == join_instant_ && id >= join_instant_first_;
+  if (shards_ != nullptr && at > shards_->now() && !joined_at_this_instant) {
+    // Staged ahead of its time: stop the peer on its own shard, after
+    // every peer event of its millisecond.
+    const std::size_t shard = transport_->shard_of_node(id);
+    shards_->post(shard, shard, at, sim::control_order, id,
+                  [this, &p] { stop_peer(p); });
+  } else {
+    // Serial, at the barrier instant, or a joiner that has run nothing.
+    stop_peer(p);
+  }
+  return true;
 }
 
-net::node_id scenario::add_peer(std::optional<nat::nat_type> type) {
+void scenario::stop_peer(gossip::peer& p) {
+  p.stop();
+  transport_->mark_dead(p.id());
+}
+
+net::node_id scenario::add_peer_at(sim::sim_time at,
+                                   std::optional<nat::nat_type> type) {
+  NYLON_EXPECTS(at >= sched_.now());
   const nat::nat_type chosen = type.has_value()
                                    ? *type
                                    : nat::assign_types(1, cfg_.natted_fraction,
@@ -351,8 +387,12 @@ net::node_id scenario::add_peer(std::optional<nat::nat_type> type) {
 
   const auto phase = static_cast<sim::sim_time>(rng_.uniform(
       0, static_cast<std::uint64_t>(cfg_.gossip.shuffle_period - 1)));
-  p->start(sched_.now() + phase);
+  p->start(at + phase);
   peers_.push_back(std::move(p));
+  if (at != join_instant_) {
+    join_instant_ = at;
+    join_instant_first_ = id;
+  }
   return id;
 }
 

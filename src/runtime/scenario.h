@@ -14,7 +14,13 @@
 //    deterministic stream from the serial engine.
 // All mutation entry points below are control-plane operations: in shard
 // mode they run at epoch barriers, where every shard is parked at the
-// same simulated time.
+// same simulated time. Joins and single-peer departures may also be
+// *staged* (run_until's `staged` actions): the sharded engine applies
+// them at the barrier opening the epoch that holds their time, which is
+// sound because a join reads only control-plane state (the control rng,
+// the alive lists, self() descriptors, the config) and a departure
+// reaches its peer through an event on the peer's own shard (see
+// depart_peer_at).
 #pragma once
 
 #include <array>
@@ -66,7 +72,17 @@ class scenario {
   /// conservative-window epochs, interleaving control-plane events (NAT
   /// GC) at their exact timestamps, and returns with every shard parked
   /// at `deadline`.
-  void run_until(sim::sim_time deadline);
+  ///
+  /// `staged` (optional) holds joins and departures (add_peer_at /
+  /// depart_peer_at) due before `deadline`: the serial engines run each
+  /// at its exact time, after every event at or before it; the sharded
+  /// engine applies each at the barrier opening the epoch that holds its
+  /// time, so they cut no epoch. Either way the simulation is the one a
+  /// run_until(at) per action would give. Actions at `deadline`, or at a
+  /// sampler tick, stay pending for the caller: the timeline sampler
+  /// must see the world before the actions at its tick.
+  void run_until(sim::sim_time deadline,
+                 sim::staged_actions* staged = nullptr);
 
   // --- sim-time sampling (obs timelines, workload trajectories) --------------
 
@@ -102,15 +118,31 @@ class scenario {
   /// Returns the number of peers removed.
   std::size_t remove_fraction(double fraction);
 
-  /// Removes one specific peer (fail-stop).
-  void remove_peer(net::node_id id);
+  /// Removes one specific peer (fail-stop) now.
+  void remove_peer(net::node_id id) { depart_peer_at(id, sched_.now()); }
+
+  /// Fail-stop departure at `at`: takes the peer off the alive lists at
+  /// once; stopping it (timer cancelled, liveness flag cleared) happens
+  /// at `at`. Run by a staged action ahead of `at`, the stop is an event
+  /// on the peer's own shard keyed (at, control_order, id), so it runs
+  /// after every peer event of that millisecond — where a cut action
+  /// ran; it is not counted as an executed event. Returns false when the
+  /// peer was already gone.
+  bool depart_peer_at(net::node_id id, sim::sim_time at);
 
   /// A new peer joins mid-run: it is created with the scenario's protocol
   /// and NAT type drawn from the configured distribution (or forced via
   /// `type`), bootstrapped with alive public peers, and starts gossiping
   /// within one period. Returns its id. (Arrival-side churn — the paper's
   /// motivation mentions arrivals, its evaluation only departures.)
-  net::node_id add_peer(std::optional<nat::nat_type> type = std::nullopt);
+  net::node_id add_peer(std::optional<nat::nat_type> type = std::nullopt) {
+    return add_peer_at(sched_.now(), type);
+  }
+
+  /// add_peer for a join at `at` (>= now), which may run ahead of `at`
+  /// as a staged action: the peer's first shuffle is `at` + its phase.
+  net::node_id add_peer_at(sim::sim_time at,
+                           std::optional<nat::nat_type> type = std::nullopt);
 
   /// Number of peers still alive.
   [[nodiscard]] std::size_t alive_count() const;
@@ -224,7 +256,9 @@ class scenario {
   void fire_samplers(sim::sim_time t);
   /// run_until without sampler interleaving — the original engine
   /// dispatch, shared by the plain and sampled paths.
-  void run_until_plain(sim::sim_time deadline);
+  void run_until_plain(sim::sim_time deadline, sim::staged_actions* staged);
+  /// Stops a departing peer: cancels its timer, clears its liveness.
+  void stop_peer(gossip::peer& p);
 
   experiment_config cfg_;
   sim::scheduler sched_;  ///< the universe (serial) / control (sharded)
@@ -237,6 +271,12 @@ class scenario {
   std::unique_ptr<net::udp_backend> udp_;
   std::vector<std::unique_ptr<gossip::peer>> peers_;
   std::array<sampler_entry, sampler_slots> samplers_;
+  /// The latest join time, and the first id that joined at it (ids grow
+  /// with join order). A peer departing at its join instant has run
+  /// nothing, so depart_peer_at stops it at once — its zero-phase first
+  /// shuffle, already queued at that instant, must never fire.
+  sim::sim_time join_instant_ = sim::time_never;
+  net::node_id join_instant_first_ = 0;
 };
 
 }  // namespace nylon::runtime

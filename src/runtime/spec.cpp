@@ -9,6 +9,7 @@
 #include <fstream>
 #include <initializer_list>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <optional>
 #include <ostream>
@@ -79,9 +80,13 @@ double numeric_token(const std::string& key, const std::string& token,
 std::size_t count_token(const std::string& key, const std::string& token,
                         const spec_options& opt) {
   const double v = numeric_token(key, token, opt);
-  if (v < 0 || v != std::floor(v)) {
+  // Range-checked before the cast: a double at or above 2^64 (or inf)
+  // has no size_t value, and converting it is undefined behaviour.
+  constexpr double size_limit =
+      static_cast<double>(std::numeric_limits<std::size_t>::max());
+  if (v < 0 || v != std::floor(v) || v >= size_limit) {
     bad("\"" + key + "\" value \"" + token +
-        "\" must be a non-negative integer");
+        "\" must be a non-negative integer below 2^64");
   }
   return static_cast<std::size_t>(v);
 }

@@ -123,6 +123,7 @@ void event_queue::stage_sorted(std::vector<staged_event>& batch) {
 sim_time event_queue::run_lane_front() {
   staged_event& ev = lane_[lane_pos_];
   const sim_time at = ev.at;
+  const bool counted = ev.order_a != control_order;
   // Move the callback out before running it: it may reenter push (never
   // stage_sorted — that is the lane contract), and dropping the capture
   // eagerly releases whatever it owns.
@@ -135,8 +136,10 @@ sim_time event_queue::run_lane_front() {
   } else {
     lane_next_ = lane_[lane_pos_].at;
   }
-  ++executed_;
-  obs::count(obs::counter::events_executed);
+  if (counted) {
+    ++executed_;
+    obs::count(obs::counter::events_executed);
+  }
   fn();
   return at;
 }

@@ -58,6 +58,12 @@ struct staged_event {
   return a.order_b < b.order_b;
 }
 
+/// The `order_a` of control-plane lane events (the sharded engine's
+/// staged departures): it sorts after every packet key at its timestamp,
+/// and the queue does not count such events as executed — they are
+/// bookkeeping moved off the barrier, not simulation work.
+inline constexpr std::uint64_t control_order = ~std::uint64_t{0};
+
 namespace detail {
 
 /// One pooled event. `generation` increments on every recycle so stale

@@ -221,13 +221,15 @@ void shard_engine::drain_inbound(std::size_t dst) {
                       sh.sched.lane_reserved_bytes());
 }
 
-sim_time shard_engine::next_epoch_end(sim_time bound) const {
+sim_time shard_engine::next_epoch_end(sim_time bound,
+                                      sim_time staged_at) const {
   // The earliest pending event anywhere (staging lanes included — the
   // engine cuts epochs on next_event_time, which covers both) bounds what
   // this epoch can execute; nothing executing at >= t_min can schedule
   // before t_min + window. Idle shards contribute time_never and never
-  // constrain the stride.
-  sim_time t_min = time_never;
+  // constrain the stride. A staged action counts as pending at its time:
+  // the events it creates land there or later.
+  sim_time t_min = staged_at;
   for (const auto& s : shards_) {
     t_min = std::min(t_min, s->sched.next_event_time());
   }
@@ -278,13 +280,21 @@ void shard_engine::run_epoch(sim_time end) {
   }
 }
 
-void shard_engine::run_until(sim_time deadline) {
+void shard_engine::run_until(sim_time deadline, staged_actions* staged) {
   NYLON_EXPECTS(deadline >= now_);
-  // Flush control-plane posts first: while parked, `post` only requires
-  // at >= now(), which can fall inside the first epoch — stage them now
-  // (single-threaded; nothing is running) so they take their canonical
-  // slots before any shard advances.
-  for (std::size_t s = 0; s < shards_.size(); ++s) drain_inbound(s);
+  // Control-plane posts (made while parked, or by staged actions at a
+  // barrier) may be due inside the next epoch: stage them before any
+  // shard advances (single-threaded; nothing is running) so they take
+  // their canonical slots.
+  const auto drain_control_posts = [this] {
+    for (std::size_t s = 0; s < shards_.size(); ++s) drain_inbound(s);
+  };
+  drain_control_posts();
+  // Staged actions due strictly before the deadline ride inside epochs.
+  const auto next_staged = [staged, deadline] {
+    const sim_time at = staged != nullptr ? staged->next_time() : time_never;
+    return at < deadline ? at : time_never;
+  };
   // Epochs are half-open [now_, end) spans of the grid; the final epoch
   // ends at deadline + 1 so the deadline's own grid point executes,
   // matching scheduler::run_until's inclusive semantics. Always run at
@@ -293,7 +303,15 @@ void shard_engine::run_until(sim_time deadline) {
   // deadline equals now().
   const sim_time bound = deadline + 1;
   for (;;) {
-    const sim_time end = next_epoch_end(bound);
+    sim_time staged_at = next_staged();
+    const sim_time end = next_epoch_end(bound, staged_at);
+    if (staged_at < end) {
+      // Everything a staged action creates lands at >= its time >=
+      // now_, so the post floor and the window both still hold.
+      NYLON_EXPECTS(staged_at >= now_);
+      for (; staged_at < end; staged_at = next_staged()) staged->run_next();
+      drain_control_posts();
+    }
     run_epoch(end);
     now_ = end - 1;
     if (now_ >= deadline) break;

@@ -42,6 +42,16 @@
 // snapshots) may freely read and mutate world state in that window. The
 // epoch machinery's barrier handoff provides the happens-before edges
 // between control mutations and worker reads.
+//
+// Staged control: a run_until call may also carry control actions that
+// need no epoch cut of their own (churn joins and departures; see
+// staged_actions). The coordinator applies each one at the barrier that
+// opens the epoch holding its time, so churn rides inside window-wide
+// epochs. Such an action may only read control-plane state no shard
+// event writes, and reaches shard state through `post` — the departure
+// event keyed (t, control_order, id) runs after every peer event of its
+// millisecond, where a cut control action ran (DESIGN.md "Sharded
+// determinism contract", rule 5).
 #pragma once
 
 #include <atomic>
@@ -56,6 +66,22 @@
 #include "sim/time.h"
 
 namespace nylon::sim {
+
+/// Control actions a run_until call may apply at epoch barriers instead
+/// of cutting an epoch at their times. The sharded coordinator applies
+/// an action at the barrier opening the epoch that holds its time; the
+/// serial engines run each one at its exact time. Actions run in
+/// next_time() order and may add further actions.
+class staged_actions {
+ public:
+  /// Time of the earliest pending action; time_never when none.
+  [[nodiscard]] virtual sim_time next_time() const = 0;
+  /// Pops and applies the earliest pending action.
+  virtual void run_next() = 0;
+
+ protected:
+  ~staged_actions() = default;
+};
 
 class shard_engine {
  public:
@@ -94,7 +120,14 @@ class shard_engine {
   /// (>= now()). Events with timestamp exactly `deadline` are executed —
   /// including events scheduled at the current barrier time, so a call
   /// with deadline == now() still runs one (zero-length) epoch.
-  void run_until(sim_time deadline);
+  ///
+  /// `staged` (optional) holds control actions at >= now(). Each epoch
+  /// ends at min(t_min, next staged time) + W; before it starts, the
+  /// coordinator applies every staged action due before that end, in
+  /// order, and stages the events they post. Actions at `deadline` or
+  /// later are left pending: the caller runs them once every event at
+  /// `deadline` has executed, as it would a cut action.
+  void run_until(sim_time deadline, staged_actions* staged = nullptr);
 
   /// Total events executed across all shards.
   [[nodiscard]] std::uint64_t events_executed() const noexcept;
@@ -147,8 +180,10 @@ class shard_engine {
   };
 
   /// Picks the next epoch's exclusive end in (now_, bound]. `bound` =
-  /// final deadline + 1.
-  [[nodiscard]] sim_time next_epoch_end(sim_time bound) const;
+  /// final deadline + 1; `staged_at` is the earliest staged action to
+  /// apply before the epoch (time_never when none).
+  [[nodiscard]] sim_time next_epoch_end(sim_time bound,
+                                        sim_time staged_at) const;
 
   /// Runs one epoch over [now_, end): every shard executes its events
   /// with timestamp < end, then every shard drains its inbound channels

@@ -24,8 +24,10 @@ const snapshot& engine::final() const {
   return trajectory_.back();
 }
 
-void engine::push_action(sim::sim_time at, std::function<void()> fn) {
-  actions_.push(action{at, next_seq_++, std::move(fn)});
+void engine::push_action(sim::sim_time at, timing kind,
+                         std::function<void(sim::sim_time)> fn) {
+  (kind == timing::staged ? staged_ : cut_)
+      .push(action{at, next_seq_++, std::move(fn)});
 }
 
 util::rng& engine::phase_rng(std::size_t index, const phase& p) {
@@ -40,15 +42,14 @@ util::rng& engine::phase_rng(std::size_t index, const phase& p) {
   return *slot;
 }
 
-void engine::do_join() {
-  world_.add_peer();
+void engine::do_join(sim::sim_time at) {
+  world_.add_peer_at(at);
   ++joined_;
 }
 
-void engine::do_depart(net::node_id id) {
-  if (!world_.transport().alive(id)) return;  // already gone (e.g. mass dep.)
-  world_.remove_peer(id);
-  ++departed_;
+void engine::do_depart(net::node_id id, sim::sim_time at) {
+  // False when already gone (a mass departure, say).
+  if (world_.depart_peer_at(id, at)) ++departed_;
 }
 
 void engine::compile_phase(std::size_t index, const phase& p,
@@ -63,21 +64,23 @@ void engine::compile_phase(std::size_t index, const phase& p,
           p.duration / static_cast<sim::sim_time>(p.count);
       for (std::size_t i = 0; i < p.count; ++i) {
         push_action(start + static_cast<sim::sim_time>(i) * step,
-                    [this] { do_join(); });
+                    timing::staged, [this](sim::sim_time at) { do_join(at); });
       }
       break;
     }
 
     case phase_kind::flash_crowd:
       for (std::size_t i = 0; i < p.count; ++i) {
-        push_action(start, [this] { do_join(); });
+        push_action(start, timing::staged,
+                    [this](sim::sim_time at) { do_join(at); });
       }
       break;
 
     case phase_kind::mass_departure:
-      push_action(start, [this, fraction = p.fraction] {
-        departed_ += world_.remove_fraction(fraction);
-      });
+      push_action(start, timing::cut,
+                  [this, fraction = p.fraction](sim::sim_time) {
+                    departed_ += world_.remove_fraction(fraction);
+                  });
       break;
 
     case phase_kind::poisson_churn: {
@@ -91,22 +94,26 @@ void engine::compile_phase(std::size_t index, const phase& p,
       // `poisson_chains_` stay valid for the whole run.
       auto arrive = std::make_unique<std::function<void(sim::sim_time)>>();
       auto* fn = arrive.get();
+      // Arrivals and departures are staged actions, and so is every
+      // action they queue: staging never meets a cut it has passed.
       *fn = [this, &rng, session = p.session, mean_gap_ms, end,
              fn](sim::sim_time at) {
-        const net::node_id id = world_.add_peer();
+        const net::node_id id = world_.add_peer_at(at);
         ++joined_;
-        push_action(at + session.sample(rng), [this, id] { do_depart(id); });
+        push_action(at + session.sample(rng), timing::staged,
+                    [this, id](sim::sim_time leave) { do_depart(id, leave); });
         const auto gap = std::max<sim::sim_time>(
             1, std::llround(-mean_gap_ms * std::log(1.0 - rng.uniform01())));
         if (at + gap < end) {
-          push_action(at + gap, [fn, next = at + gap] { (*fn)(next); });
+          push_action(at + gap, timing::staged,
+                      [fn](sim::sim_time next) { (*fn)(next); });
         }
       };
       const auto first_gap = std::max<sim::sim_time>(
           1, std::llround(-mean_gap_ms * std::log(1.0 - rng.uniform01())));
       if (start + first_gap < end) {
-        push_action(start + first_gap,
-                    [fn, at = start + first_gap] { (*fn)(at); });
+        push_action(start + first_gap, timing::staged,
+                    [fn](sim::sim_time at) { (*fn)(at); });
       }
       poisson_chains_.push_back(std::move(arrive));
       break;
@@ -115,72 +122,101 @@ void engine::compile_phase(std::size_t index, const phase& p,
     case phase_kind::turnover: {
       util::rng& rng = phase_rng(index, p);
       for (sim::sim_time t = start; t < end; t += p.tick) {
-        push_action(t, [this, &rng, per_tick = p.count] {
+        push_action(t, timing::cut,
+                    [this, &rng, per_tick = p.count](sim::sim_time at) {
           // Draw victims with replacement from one alive-list snapshot
           // (duplicate removals are harmless no-ops), then refill.
           const std::vector<net::node_id> alive = world_.alive_ids();
           if (alive.empty()) return;
           for (std::size_t k = 0; k < per_tick; ++k) {
-            do_depart(alive[rng.index(alive.size())]);
+            do_depart(alive[rng.index(alive.size())], at);
           }
-          for (std::size_t k = 0; k < per_tick; ++k) do_join();
+          for (std::size_t k = 0; k < per_tick; ++k) do_join(at);
         });
       }
       break;
     }
 
     case phase_kind::partition:
-      push_action(start, [this, fraction = p.fraction] {
-        world_.partition_fraction(fraction);
-      });
+      push_action(start, timing::cut,
+                  [this, fraction = p.fraction](sim::sim_time) {
+                    world_.partition_fraction(fraction);
+                  });
       break;
 
     case phase_kind::heal:
-      push_action(start, [this] { world_.heal_partition(); });
+      push_action(start, timing::cut,
+                  [this](sim::sim_time) { world_.heal_partition(); });
       break;
 
     case phase_kind::nat_redistribution:
-      push_action(start, [this, natted = p.natted_fraction, mix = *p.mix] {
-        world_.set_nat_distribution(natted, mix);
-      });
+      push_action(
+          start, timing::cut,
+          [this, natted = p.natted_fraction, mix = *p.mix](sim::sim_time) {
+            world_.set_nat_distribution(natted, mix);
+          });
       break;
 
     case phase_kind::nat_rebind:
-      push_action(start, [this, fraction = p.fraction] {
-        world_.rebind_fraction(fraction);
-      });
+      push_action(start, timing::cut,
+                  [this, fraction = p.fraction](sim::sim_time) {
+                    world_.rebind_fraction(fraction);
+                  });
       break;
 
     case phase_kind::nat_migration:
-      push_action(start, [this, fraction = p.fraction, mix = *p.mix] {
-        world_.migrate_fraction(fraction, mix);
-      });
+      push_action(start, timing::cut,
+                  [this, fraction = p.fraction, mix = *p.mix](sim::sim_time) {
+                    world_.migrate_fraction(fraction, mix);
+                  });
       break;
   }
 }
 
 void engine::drain_until(sim::sim_time until) {
-  while (!actions_.empty() && actions_.top().at <= until) {
-    const sim::sim_time at = actions_.top().at;
+  for (const action_queue* q = next_queue();
+       q != nullptr && q->top().at <= until; q = next_queue()) {
+    // Run to the next cut action (or the bound); the staged actions
+    // before it ride inside the run.
+    const sim::sim_time at =
+        cut_.empty() ? until : std::min(until, cut_.top().at);
     NYLON_ENSURES(at >= world_.scheduler().now());
     // Advance first, pop after: a sampler tick landing exactly on `at`
-    // fires inside run_until and drains the action itself (so its
-    // snapshot sees the action applied); the queue must still hold it.
-    world_.run_until(at);
+    // fires inside run_until and drains the actions itself (so its
+    // snapshot sees them applied); the queues must still hold them.
+    world_.run_until(at, this);
     run_due_actions(at);
   }
   world_.run_until(until);
 }
 
+engine::action_queue* engine::next_queue() noexcept {
+  if (staged_.empty()) return cut_.empty() ? nullptr : &cut_;
+  if (cut_.empty()) return &staged_;
+  return later{}(staged_.top(), cut_.top()) ? &cut_ : &staged_;
+}
+
+void engine::run_top(action_queue& queue) {
+  // priority_queue::top is const; the action is copied out so fn can
+  // push further actions while it runs.
+  action next = queue.top();
+  queue.pop();
+  next.fn(next.at);
+}
+
 void engine::run_due_actions(sim::sim_time now) {
-  while (!actions_.empty() && actions_.top().at <= now) {
-    // priority_queue::top is const; the action is copied out so fn can
-    // push further actions while it runs.
-    action next = actions_.top();
-    actions_.pop();
-    next.fn();
+  for (action_queue* q = next_queue(); q != nullptr && q->top().at <= now;
+       q = next_queue()) {
+    NYLON_ENSURES(q->top().at == now);
+    run_top(*q);
   }
 }
+
+sim::sim_time engine::next_time() const {
+  return staged_.empty() ? sim::time_never : staged_.top().at;
+}
+
+void engine::run_next() { run_top(staged_); }
 
 void engine::take_snapshot(std::size_t phase_index, const std::string& label) {
   snapshot s;
@@ -211,8 +247,8 @@ void engine::run() {
                       ? *init->rng_seed
                       : util::derive_seed(world_.config().seed, 0xD1CE5E55u));
     for (const net::node_id id : world_.alive_ids()) {
-      push_action(t + init->session.sample(rng),
-                  [this, id] { do_depart(id); });
+      push_action(t + init->session.sample(rng), timing::staged,
+                  [this, id](sim::sim_time at) { do_depart(id, at); });
     }
   }
   for (std::size_t i = 0; i < program_.phases().size(); ++i) {

@@ -3,10 +3,23 @@
 // re-bindings) and interleaves them with the simulation, taking metric
 // snapshots along the way.
 //
-// Ordering contract: an action at time t runs after *every* simulation
-// event with timestamp <= t — exactly like the hand-rolled
+// Ordering contract: an action at time t acts as if it ran after *every*
+// simulation event with timestamp <= t — exactly like the hand-rolled
 // `run_periods(...); mutate(); run_periods(...)` loops this engine
-// replaces, so ported benches measure bit-identical numbers.
+// replaces, so ported benches measure bit-identical numbers. Actions at
+// one time run in the order they were queued.
+//
+// Two kinds of action keep that contract differently:
+//  * cut actions (turnover, mass departure, partition / heal, NAT
+//    rebind / migration / redistribution) stop the world at t and run
+//    there — on the sharded engine, an epoch ends at t;
+//  * staged actions (joins, and the departure of one peer) ride inside
+//    scenario::run_until: the sharded engine applies them at the barrier
+//    opening the epoch that holds t (see scenario::add_peer_at and
+//    depart_peer_at for why that equals running at t), the serial
+//    engines at t itself. Staging never passes the next cut action, the
+//    drain bound or a sampler tick; actions at those times run after
+//    the world parks there, in queue order with the cut ones.
 #pragma once
 
 #include <cstdint>
@@ -48,7 +61,7 @@ struct engine_options {
   bool measure = true;
 };
 
-class engine {
+class engine : private sim::staged_actions {
  public:
   /// The scenario must outlive the engine. The program starts at the
   /// scenario's current simulated time, so it can follow manual warm-up.
@@ -75,7 +88,7 @@ class engine {
   struct action {
     sim::sim_time at = 0;
     std::uint64_t seq = 0;  ///< FIFO among same-time actions
-    std::function<void()> fn;
+    std::function<void(sim::sim_time)> fn;  ///< called with `at`
   };
   struct later {
     bool operator()(const action& a, const action& b) const noexcept {
@@ -84,28 +97,43 @@ class engine {
     }
   };
 
-  void push_action(sim::sim_time at, std::function<void()> fn);
+  using action_queue =
+      std::priority_queue<action, std::vector<action>, later>;
+  enum class timing { cut, staged };
+
+  void push_action(sim::sim_time at, timing kind,
+                   std::function<void(sim::sim_time)> fn);
   /// Installs a phase's actions / immediate effects at its start time.
   void compile_phase(std::size_t index, const phase& p, sim::sim_time start,
                      sim::sim_time end);
   /// Runs simulation + queued actions up to and including time `until`;
   /// each action runs after every simulation event at or before its time.
   void drain_until(sim::sim_time until);
-  /// Pops and runs every queued action due at or before `now` (the world
-  /// is already parked at `now`). Shared by drain_until and the
+  /// Pops and runs every queued action due at `now` (the world is
+  /// already parked at `now`; earlier ones ran at their own times), in
+  /// queue order across both kinds. Shared by drain_until and the
   /// trajectory sampler tick, so a snapshot at time t always sees
   /// actions at t applied first — the ordering contract above.
   void run_due_actions(sim::sim_time now);
+  /// The queue holding the earliest action in (at, seq) order; null when
+  /// both are empty.
+  [[nodiscard]] action_queue* next_queue() noexcept;
+  static void run_top(action_queue& queue);
+
+  // sim::staged_actions, handed to scenario::run_until.
+  [[nodiscard]] sim::sim_time next_time() const override;
+  void run_next() override;
   void take_snapshot(std::size_t phase_index, const std::string& label);
   util::rng& phase_rng(std::size_t index, const phase& p);
 
-  void do_join();
-  void do_depart(net::node_id id);
+  void do_join(sim::sim_time at);
+  void do_depart(net::node_id id, sim::sim_time at);
 
   runtime::scenario& world_;
   program program_;
   engine_options opt_;
-  std::priority_queue<action, std::vector<action>, later> actions_;
+  action_queue cut_;
+  action_queue staged_;
   std::uint64_t next_seq_ = 0;
   // One dedicated stream per phase, lazily created; kept alive for the
   // whole run because Poisson departures outlive their phase.

@@ -96,6 +96,15 @@ TEST(experiment_spec, bad_inputs_throw_contract_errors) {
     "rows":[{"axis":"natted_pct","header":"h","values":[1]}],
     "probes":[{"probe":"stale_pct"}]})"),
                contract_error);
+  // a count with no size_t value (the cast would be undefined)
+  for (const char* count : {"1e300", "18446744073709551616", "1e20"}) {
+    EXPECT_THROW(parse(std::string(R"({"name":"x","base":{"peers":)") +
+                       count + R"(},
+      "rows":[{"axis":"natted_pct","header":"h","values":[1]}],
+      "probes":[{"probe":"stale_pct"}]})"),
+                 contract_error)
+        << count;
+  }
   // natted_pct out of range
   EXPECT_THROW(parse(R"({"name":"x",
     "rows":[{"axis":"natted_pct","header":"h","values":[150]}],
