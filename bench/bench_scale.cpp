@@ -27,7 +27,9 @@
 // a results.sweep array carrying the per-K events/s, the speedup curve
 // relative to the first K, and the per-K epoch statistics (epochs run,
 // mean/max epoch width in sim-ms, events per epoch), which bench/trend.py
-// gates per shard count. A digest mismatch exits non-zero after the JSON
+// gates per shard count, plus `crossings_per_epoch` (the busiest shard's
+// waited-through barrier crossings per epoch), which bench/smoke_scale.py
+// holds at <= 1. A digest mismatch exits non-zero after the JSON
 // is written.
 //
 // Memory: every run reports its peak resident set (`peak_rss_mb`) and
@@ -252,7 +254,9 @@ void print_outcome(const run_outcome& r) {
     }
     std::cout << "shard_imbalance       " << r.profile.imbalance() << "\n"
               << "barrier_overhead_pct  "
-              << 100.0 * r.profile.barrier_overhead() << "\n";
+              << 100.0 * r.profile.barrier_overhead() << "\n"
+              << "crossings_per_epoch   " << r.profile.crossings_per_epoch()
+              << "\n";
   }
 }
 
@@ -469,6 +473,7 @@ int main(int argc, char** argv) {
       if (!r.profile.empty()) {
         row["imbalance"] = r.profile.imbalance();
         row["barrier_overhead_pct"] = 100.0 * r.profile.barrier_overhead();
+        row["crossings_per_epoch"] = r.profile.crossings_per_epoch();
       }
       curve.push_back(std::move(row));
     }

@@ -4,7 +4,8 @@
 Runs a CI-sized sweep (n=2000, shards 1/2/4), then asserts what the CI
 shell steps used to check out-of-band: the binary exits 0 (it verifies
 digest equality across shard counts itself), the BENCH JSON parses, the
-per-K curve is complete, and every K produced the same state digest.
+per-K curve is complete, every K produced the same state digest, and
+every K > 1 crossed at most one barrier per epoch.
 Invoked by CMake as a tier-1 test so a layout or allocator change that
 breaks the determinism contract fails `ctest`, not just CI.
 
@@ -82,6 +83,11 @@ def main():
         assert row["epoch_width_ms_mean"] > 0, row
         assert row["epoch_width_ms_max"] >= row["epoch_width_ms_mean"], row
         assert row["events_per_epoch"] > 0, row
+        # One barrier crossing per epoch: the busiest shard waits at
+        # most once per epoch (K=1 has no barrier at all). The profile is
+        # absent only from telemetry-free (NYLON_OBS=OFF) builds.
+        if row["shards"] > 1 and "barrier_overhead_pct" in row:
+            assert row["crossings_per_epoch"] <= 1.0, row
     # The last sweep entry is mirrored into the top-level scalars for
     # single-run consumers; they must agree.
     assert results["state_digest"] == sweep[-1]["state_digest"]

@@ -1,5 +1,7 @@
 #include "obs/profile.h"
 
+#include <algorithm>
+
 namespace nylon::obs {
 
 double epoch_profile::imbalance() const noexcept {
@@ -26,6 +28,15 @@ double epoch_profile::barrier_overhead() const noexcept {
   return total > 0.0 ? wait / total : 0.0;
 }
 
+double epoch_profile::crossings_per_epoch() const noexcept {
+  if (epochs == 0) return 0.0;
+  std::uint64_t busiest = 0;
+  for (const shard_profile& s : shards) {
+    busiest = std::max(busiest, s.spin_waits + s.park_waits);
+  }
+  return static_cast<double>(busiest) / static_cast<double>(epochs);
+}
+
 util::json to_json(const epoch_profile& profile) {
   util::json out = util::json::object();
   out["epochs"] = profile.epochs;
@@ -34,6 +45,7 @@ util::json to_json(const epoch_profile& profile) {
   out["events_per_epoch"] = profile.events_per_epoch;
   out["imbalance"] = profile.imbalance();
   out["barrier_overhead_pct"] = 100.0 * profile.barrier_overhead();
+  out["crossings_per_epoch"] = profile.crossings_per_epoch();
   util::json shards = util::json::array();
   for (const shard_profile& s : profile.shards) {
     util::json& entry = shards.push_back(util::json::object());

@@ -14,9 +14,17 @@
 namespace nylon::obs {
 
 /// One shard's wall-clock accounting across all epochs.
+///
+/// Each epoch has one barrier crossing per shard. A pool shard's wait
+/// runs from its arrival to its release, so it includes the caller's
+/// completion step (pick the next epoch's end, apply due staged actions,
+/// flip the channel sets), which the former separate start barrier hid.
+/// The wait that ends a run_until call's last epoch is not counted: it
+/// spans the control plane between calls, which is idle time. Shard 0
+/// runs on the caller, whose wait is for the last pool shard to arrive.
 struct shard_profile {
-  double work_s = 0.0;  ///< executing events + draining inbound channels
-  double wait_s = 0.0;  ///< blocked at the mid / finish epoch barriers
+  double work_s = 0.0;  ///< draining inbound channels + executing events
+  double wait_s = 0.0;  ///< blocked at the epoch's barrier crossing
   std::uint64_t events = 0;  ///< events executed on this shard
   /// How this shard's barrier crossings resolved (spin-then-park
   /// barrier): released while spinning vs after parking on the condvar.
@@ -47,10 +55,16 @@ struct epoch_profile {
   /// Fraction of total shard wall-time spent waiting at barriers,
   /// in [0, 1]: sum(wait) / (sum(work) + sum(wait)); 0 when idle.
   [[nodiscard]] double barrier_overhead() const noexcept;
+
+  /// Barrier crossings the busiest shard waited through (spun plus
+  /// parked) per epoch; at most 1 with one crossing per epoch. 0 when
+  /// there are no epochs or no per-shard numbers.
+  [[nodiscard]] double crossings_per_epoch() const noexcept;
 };
 
 /// {"epochs": ..., "epoch_width_ms_mean": ..., "epoch_width_ms_max": ...,
 ///  "events_per_epoch": ..., "imbalance": ..., "barrier_overhead_pct": ...,
+///  "crossings_per_epoch": ...,
 ///  "shards": [{"work_s": ..., "wait_s": ..., "events": ...,
 ///              "spin_waits": ..., "park_waits": ...}, ...]}.
 [[nodiscard]] util::json to_json(const epoch_profile& profile);

@@ -153,6 +153,15 @@ void scenario::run_until(sim::sim_time deadline,
                       sched_.now(), 0)));
 }
 
+bool scenario::idle_through(sim::sim_time t) const noexcept {
+  if (udp_ != nullptr || sched_.now() != t) return false;
+  const sim::sim_time next =
+      shards_ != nullptr
+          ? std::min(sched_.next_event_time(), shards_->next_event_time())
+          : sched_.next_event_time();
+  return next > t;
+}
+
 void scenario::run_until_plain(sim::sim_time deadline,
                                sim::staged_actions* staged) {
   if (shards_ == nullptr) {

@@ -84,6 +84,11 @@ class scenario {
   void run_until(sim::sim_time deadline,
                  sim::staged_actions* staged = nullptr);
 
+  /// True when the world stands at `t` with nothing left to run at or
+  /// before it, so run_until(t) would only add an empty epoch. Never true
+  /// in real-socket mode: a datagram can arrive at any time.
+  [[nodiscard]] bool idle_through(sim::sim_time t) const noexcept;
+
   // --- sim-time sampling (obs timelines, workload trajectories) --------------
 
   /// Sampler slots: the spec-level health timeline and the workload

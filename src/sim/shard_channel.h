@@ -1,8 +1,8 @@
 // Deterministic cross-shard event transfer for the sharded universe
 // engine. During an epoch each shard buffers the events it wants to run
 // on other shards (packet deliveries, in practice) into per-(src, dst)
-// channels; at the epoch barrier every destination gathers its inbound
-// channels and schedules the events in *canonical* order — sorted by
+// channels; at the top of the next epoch every destination gathers its
+// inbound channels and schedules the events in *canonical* order — sorted by
 // (timestamp, order_a, order_b), which for packets is (delivery time,
 // sender id, per-sender sequence number).
 //
@@ -13,10 +13,11 @@
 // alone would not do that (it reflects intra-epoch execution order, which
 // is partition-dependent).
 //
-// Threading: a channel is single-producer (the source shard's worker,
-// during an epoch) and single-consumer (the destination shard's worker,
-// at the barrier). The epoch barrier provides the happens-before edge
-// between the two; the channel itself is deliberately unsynchronized.
+// Threading: a channel is single-producer (the thread running the source
+// shard, during an epoch) and single-consumer (the thread running the
+// destination shard, at the top of the next epoch). The barrier crossing
+// between the two epochs provides the happens-before edge; the channel
+// itself is deliberately unsynchronized.
 #pragma once
 
 #include <cstddef>
@@ -38,7 +39,11 @@ namespace nylon::sim {
 using channel_event = staged_event;
 
 /// FIFO buffer of events from one source shard to one destination shard.
-class shard_channel {
+/// One cache line each: during an epoch every source thread pushes into
+/// its own row while destination threads drain the other set, and
+/// neighbouring channels written by different threads must not share a
+/// line.
+class alignas(64) shard_channel {
  public:
   /// Buffers `ev` (producer side; FIFO order preserved until drain).
   void push(channel_event ev) { events_.push_back(std::move(ev)); }

@@ -36,27 +36,23 @@ void profile_span(const char* name, profile_clock::time_point from,
 #endif  // NYLON_OBS
 }  // namespace
 
-/// Persistent worker threads, one per shard, woken once per epoch
-/// through spin-then-park barriers: same-epoch stragglers resolve with a
-/// few microseconds of spinning (no syscall), while parked phases — the
-/// control plane running between epochs, oversubscribed CI runs — fall
-/// back to the condvar. Protocol per epoch, K workers + the coordinator:
+/// Persistent worker threads for shards 1..K-1 (the caller runs shard
+/// 0), joined by one coordinated spin-then-park barrier: same-epoch
+/// stragglers resolve with a few microseconds of spinning (no syscall),
+/// while parked phases — the control plane running between run_until
+/// calls, oversubscribed CI runs — fall back to the condvar. Protocol per
+/// epoch:
 ///
-///   coordinator: publish target -> arrive(start) ... arrive(finish)
-///   worker i:    arrive(start) -> run_until(target)
-///                -> arrive(mid, workers only) -> drain_inbound(i)
-///                -> arrive(finish)
+///   caller:   completion step -> release -> run_shard(0) -> await_others
+///   worker i: (released) -> run_shard(i) -> arrive_and_wait
 ///
-/// `mid` separates event execution from channel draining: a drain reads
-/// channels *written by other workers* during the run phase, so every
-/// producer must be past its run phase first.
+/// One crossing per epoch and party. A shard's top-of-epoch drain reads
+/// the channel set other shards wrote last epoch; their arrivals, the
+/// caller's await and its release order those writes before the drain.
 struct shard_engine::worker_pool {
-  explicit worker_pool(shard_engine& engine)
-      : start(engine.shard_count() + 1),
-        mid(engine.shard_count()),
-        finish(engine.shard_count() + 1) {
-    threads.reserve(engine.shard_count());
-    for (std::size_t i = 0; i < engine.shard_count(); ++i) {
+  explicit worker_pool(shard_engine& engine) : barrier(engine.shard_count()) {
+    threads.reserve(engine.shard_count() - 1);
+    for (std::size_t i = 1; i < engine.shard_count(); ++i) {
       threads.emplace_back([&engine, this, i] { run_worker(engine, i); });
     }
   }
@@ -77,60 +73,27 @@ struct shard_engine::worker_pool {
                           "shard " + std::to_string(index));
 #endif
     shard& s = *engine.shards_[index];
-    // The finish barrier releases the coordinator, which may then read
-    // this shard's accumulators (shard_engine::profile). So the finish
-    // crossing's own accounting is held here and folded in during the
-    // next epoch, before `mid`; the next finish barrier orders that write
-    // before the coordinator's next read. A profile therefore lags by at
-    // most the last epoch's finish wait.
-    spin_barrier::wait_kind finish_kind = spin_barrier::wait_kind::last;
-    [[maybe_unused]] double finish_wait_s = 0.0;
     for (;;) {
-      start.arrive_and_wait();
+#if NYLON_OBS
+      const auto arrived = profile_clock::now();
+#endif
+      const spin_barrier::wait_kind kind = barrier.arrive_and_wait();
       if (exiting) return;
-      note_wait(s, finish_kind);
+      // A wait that opened a run_until call's first epoch spanned the
+      // control plane between calls: idle time, not barrier overhead.
+      if (!run_start) {
+        note_wait(s, kind);
 #if NYLON_OBS
-      s.wait_s += finish_wait_s;
+        const auto released = profile_clock::now();
+        profile_span("barrier:finish", arrived, released);
+        s.wait_s += profile_seconds(arrived, released);
 #endif
-      // Profiler accounting (per epoch, five clock reads): work is the
-      // run phase plus the drain phase; wait is the time blocked at the
-      // mid and finish barriers. The start barrier is deliberately
-      // excluded — between epochs workers park there while the control
-      // plane runs, which is idle time, not straggler imbalance.
-#if NYLON_OBS
-      const auto t0 = profile_clock::now();
-#endif
+      }
       try {
-        s.sched.run_until(target);
+        engine.run_shard(index, target);
       } catch (...) {
         record_error();
       }
-#if NYLON_OBS
-      const auto t1 = profile_clock::now();
-      profile_span("epoch:run", t0, t1);
-#endif
-      note_wait(s, mid.arrive_and_wait());
-#if NYLON_OBS
-      const auto t2 = profile_clock::now();
-      profile_span("barrier:mid", t1, t2);
-#endif
-      try {
-        engine.drain_inbound(index);
-      } catch (...) {
-        record_error();
-      }
-#if NYLON_OBS
-      const auto t3 = profile_clock::now();
-      profile_span("epoch:drain", t2, t3);
-      s.work_s += profile_seconds(t0, t1) + profile_seconds(t2, t3);
-      s.wait_s += profile_seconds(t1, t2);
-#endif
-      finish_kind = finish.arrive_and_wait();
-#if NYLON_OBS
-      const auto t4 = profile_clock::now();
-      profile_span("barrier:finish", t3, t4);
-      finish_wait_s = profile_seconds(t3, t4);
-#endif
     }
   }
 
@@ -140,11 +103,11 @@ struct shard_engine::worker_pool {
     if (!error_flag.test_and_set()) error = std::current_exception();
   }
 
+  spin_barrier barrier;
   std::vector<std::thread> threads;
-  spin_barrier start;
-  spin_barrier mid;
-  spin_barrier finish;
-  sim_time target = 0;     ///< published before start, read after it
+  // Written by the caller before each release, read by workers after it.
+  sim_time target = 0;
+  bool run_start = false;
   bool exiting = false;
   std::atomic_flag error_flag = ATOMIC_FLAG_INIT;
   std::exception_ptr error;
@@ -157,24 +120,31 @@ shard_engine::shard_engine(std::size_t shards, sim_time window)
   shards_.reserve(shards);
   for (std::size_t i = 0; i < shards; ++i) {
     shards_.push_back(std::make_unique<shard>());
-    // Pre-size the drain path so steady-state barriers never grow it
-    // (the swap with the staging lane recycles whatever it reaches).
+    // Pre-size the drain path so steady-state epochs never grow it (the
+    // swap with the staging lane recycles whatever it reaches).
     shards_.back()->drain_scratch.reserve(256);
     shards_.back()->drain_bounds.reserve(shards + 1);
   }
-  channels_.resize(shards * shards);
+  channels_.resize(2 * shards * shards);
 }
 
 shard_engine::~shard_engine() { stop_workers(); }
 
 void shard_engine::start_workers() {
-  if (pool_ == nullptr) pool_ = std::make_unique<worker_pool>(*this);
+  if (pool_ != nullptr) return;
+#if NYLON_OBS
+  // The caller runs shard 0: its spans belong on shard 0's lane.
+  obs::set_thread_track(0, "shard 0");
+#endif
+  pool_ = std::make_unique<worker_pool>(*this);
+  // Every worker arrives once before its first epoch.
+  pool_->barrier.await_others();
 }
 
 void shard_engine::stop_workers() noexcept {
   if (pool_ == nullptr) return;
   pool_->exiting = true;
-  pool_->start.arrive_and_wait();
+  pool_->barrier.release();
   for (std::thread& t : pool_->threads) t.join();
   pool_.reset();
 }
@@ -188,11 +158,14 @@ void shard_engine::post(std::size_t src, std::size_t dst, sim_time at,
   // strictly inside the epoch could causally depend on shard state still
   // being computed. `at == post_floor_` is the boundary case — a
   // minimum-lookahead send from the epoch's last grid point — and is
-  // safe: the epoch's own barrier stages it before any shard's clock
+  // safe: the next epoch's top drain stages it before any shard's clock
   // reaches `at`. While parked the floor is the barrier time itself,
   // which admits control-plane events at the current instant.
   NYLON_EXPECTS(at >= post_floor_);
-  channel(src, dst).push(channel_event{at, order_a, order_b, std::move(fn)});
+  channel(post_set_, src, dst)
+      .push(channel_event{at, order_a, order_b, std::move(fn)});
+  sim_time& posted_min = shards_[src]->posted_min[post_set_];
+  posted_min = std::min(posted_min, at);
 }
 
 void shard_engine::drain_inbound(std::size_t dst) {
@@ -201,9 +174,10 @@ void shard_engine::drain_inbound(std::size_t dst) {
   std::vector<std::size_t>& bounds = sh.drain_bounds;
   scratch.clear();
   bounds.clear();
+  const std::size_t set = 1 - post_set_;
   for (std::size_t src = 0; src < shards_.size(); ++src) {
     bounds.push_back(scratch.size());
-    channel(src, dst).drain_into(scratch);
+    channel(set, src, dst).drain_into(scratch);
   }
   if (scratch.empty()) return;
   bounds.push_back(scratch.size());
@@ -221,27 +195,53 @@ void shard_engine::drain_inbound(std::size_t dst) {
                       sh.sched.lane_reserved_bytes());
 }
 
+sim_time shard_engine::next_event_time() const noexcept {
+  sim_time t = time_never;
+  for (const auto& s : shards_) {
+    t = std::min({t, s->sched.next_event_time(), s->posted_min[post_set_]});
+  }
+  return t;
+}
+
 sim_time shard_engine::next_epoch_end(sim_time bound,
                                       sim_time staged_at) const {
-  // The earliest pending event anywhere (staging lanes included — the
-  // engine cuts epochs on next_event_time, which covers both) bounds what
-  // this epoch can execute; nothing executing at >= t_min can schedule
-  // before t_min + window. Idle shards contribute time_never and never
-  // constrain the stride. A staged action counts as pending at its time:
-  // the events it creates land there or later.
-  sim_time t_min = staged_at;
-  for (const auto& s : shards_) {
-    t_min = std::min(t_min, s->sched.next_event_time());
-  }
+  // The earliest pending event anywhere bounds what this epoch can
+  // execute; nothing executing at >= t_min can schedule before t_min +
+  // window. Idle shards contribute time_never and never constrain the
+  // stride. A staged action counts as pending at its time: the events it
+  // creates land there or later.
+  const sim_time t_min = std::min(staged_at, next_event_time());
   if (t_min >= bound) return bound;  // nothing due before the deadline
   return std::min(bound, t_min + window_);
 }
 
-void shard_engine::run_epoch(sim_time end) {
-  // Everything before this epoch's first grid point has globally
-  // executed; publish it for the transport's lease sweep before any
-  // worker wakes (the start barrier provides the happens-before edge;
-  // mid-epoch readers use the atomic).
+void shard_engine::run_shard(std::size_t index, sim_time target) {
+  shard& s = *shards_[index];
+#if NYLON_OBS
+  const auto t0 = profile_clock::now();
+#endif
+  drain_inbound(index);
+#if NYLON_OBS
+  const auto t1 = profile_clock::now();
+#endif
+  s.sched.run_until(target);
+#if NYLON_OBS
+  const auto t2 = profile_clock::now();
+  if (shards_.size() == 1) {
+    profile_span("epoch", t0, t2);  // no barrier: the whole epoch is work
+  } else {
+    profile_span("epoch:drain", t0, t1);
+    profile_span("epoch:run", t1, t2);
+  }
+  s.work_s += profile_seconds(t0, t2);
+#endif
+}
+
+void shard_engine::run_epoch(sim_time end, bool run_start) {
+  // Completion step, with every shard parked. Everything before this
+  // epoch's first grid point has globally executed; publish it for the
+  // transport's lease sweep (the release orders it before the workers'
+  // reads; mid-epoch readers use the atomic).
   lease_floor_.store(now_ - 1, std::memory_order_relaxed);
   post_floor_ = end;
   ++epochs_;
@@ -254,42 +254,42 @@ void shard_engine::run_epoch(sim_time end) {
                         static_cast<double>(end - now_));
   }
 #endif
+  // Flip: this epoch drains what was posted so far and posts into the
+  // set drained at the previous epoch's top (empty since then).
+  post_set_ = 1 - post_set_;
+  for (const auto& s : shards_) s->posted_min[post_set_] = time_never;
   const sim_time target = end - 1;  // inclusive form for the run loops
-  if (shards_.size() == 1) {
-    // Inline path: no barriers, so the whole epoch is work time.
-#if NYLON_OBS
-    const auto t0 = profile_clock::now();
-#endif
-    shards_[0]->sched.run_until(target);
-    drain_inbound(0);
-#if NYLON_OBS
-    const auto t1 = profile_clock::now();
-    profile_span("epoch", t0, t1);
-    shards_[0]->work_s += profile_seconds(t0, t1);
-#endif
+  if (pool_ == nullptr) {
+    run_shard(0, target);
     return;
   }
-  start_workers();
   pool_->target = target;
-  pool_->start.arrive_and_wait();
-  pool_->finish.arrive_and_wait();
+  pool_->run_start = run_start;
+  pool_->barrier.release();
+  try {
+    run_shard(0, target);
+  } catch (...) {
+    pool_->record_error();
+  }
+  shard& s = *shards_[0];
+#if NYLON_OBS
+  const auto t0 = profile_clock::now();
+#endif
+  worker_pool::note_wait(s, pool_->barrier.await_others());
+#if NYLON_OBS
+  const auto t1 = profile_clock::now();
+  profile_span("barrier:finish", t0, t1);
+  s.wait_s += profile_seconds(t0, t1);
+#endif
   if (pool_->error != nullptr) {
-    worker_error_ = std::exchange(pool_->error, nullptr);
     pool_->error_flag.clear();
-    std::rethrow_exception(worker_error_);
+    std::rethrow_exception(std::exchange(pool_->error, nullptr));
   }
 }
 
 void shard_engine::run_until(sim_time deadline, staged_actions* staged) {
   NYLON_EXPECTS(deadline >= now_);
-  // Control-plane posts (made while parked, or by staged actions at a
-  // barrier) may be due inside the next epoch: stage them before any
-  // shard advances (single-threaded; nothing is running) so they take
-  // their canonical slots.
-  const auto drain_control_posts = [this] {
-    for (std::size_t s = 0; s < shards_.size(); ++s) drain_inbound(s);
-  };
-  drain_control_posts();
+  if (shards_.size() > 1) start_workers();
   // Staged actions due strictly before the deadline ride inside epochs.
   const auto next_staged = [staged, deadline] {
     const sim_time at = staged != nullptr ? staged->next_time() : time_never;
@@ -302,17 +302,17 @@ void shard_engine::run_until(sim_time deadline, staged_actions* staged) {
   // peer started with zero phase, say) must execute even when the
   // deadline equals now().
   const sim_time bound = deadline + 1;
-  for (;;) {
+  for (bool run_start = true;; run_start = false) {
     sim_time staged_at = next_staged();
     const sim_time end = next_epoch_end(bound, staged_at);
-    if (staged_at < end) {
-      // Everything a staged action creates lands at >= its time >=
-      // now_, so the post floor and the window both still hold.
+    // Everything a staged action creates lands at >= its time >= now_,
+    // so the post floor and the window both still hold; its posts go
+    // into the set this epoch's top drains.
+    for (; staged_at < end; staged_at = next_staged()) {
       NYLON_EXPECTS(staged_at >= now_);
-      for (; staged_at < end; staged_at = next_staged()) staged->run_next();
-      drain_control_posts();
+      staged->run_next();
     }
-    run_epoch(end);
+    run_epoch(end, run_start);
     now_ = end - 1;
     if (now_ >= deadline) break;
   }

@@ -5,14 +5,16 @@
 // every data structure on the event hot path stays single-threaded
 // exactly as DESIGN.md requires — the non-atomic slab refcounts and
 // thread-local message pools are untouched. Shards interact only through
-// `post`, which buffers an event into a per-(src, dst) shard_channel;
-// channels are drained at epoch barriers into the destination
-// scheduler's *staging lane* in canonical (time, order_a, order_b) order
-// (see shard_channel.h and event_queue::stage_sorted). The lane — not a
-// plain FIFO insert — is what makes the executed stream independent of
-// *which* barrier staged each event: an event's execution slot depends
-// only on its canonical key, so wherever the epochs are cut the engine
-// replays the byte-identical simulation.
+// `post`, which buffers an event into a per-(src, dst) shard_channel.
+// Channels come in two sets chosen by epoch parity: an epoch's posts go
+// into one set while each shard, at the top of that same epoch, drains
+// its inbound column of the other set — the posts of the epoch before —
+// into its scheduler's *staging lane* in canonical (time, order_a,
+// order_b) order (see shard_channel.h and event_queue::stage_sorted).
+// The lane — not a plain FIFO insert — is what makes the executed stream
+// independent of *which* epoch staged each event: an event's execution
+// slot depends only on its canonical key, so wherever the epochs are cut
+// the engine replays the byte-identical simulation.
 //
 // Conservative-window synchronization: epochs are half-open spans
 // [start, end) of the millisecond grid, and every cross-shard event
@@ -21,13 +23,23 @@
 // pending event across all shards (staging lanes included) and W is the
 // window: the floor of every cross-shard delay (the runtime passes the
 // latency model's min_delay()). Any event executing this epoch has
-// timestamp >= t_min, so its sends land at >= t_min + W = end. Quiet
-// stretches — t_min far ahead, or no events at all — collapse into one
-// epoch instead of thousands of W-sized ones. A cross event is staged no
-// later than the barrier opening the epoch that executes it, so with the
-// canonical staging lane the executed stream does not depend on where
-// run_until deadlines, sampler ticks or control events cut the epochs
-// (the epoch-cut invariance tests pin this).
+// timestamp >= t_min, so its sends land at >= t_min + W = end. Events
+// still in a channel count toward t_min through the minimum `at` each
+// source posted into the set. Quiet stretches — t_min far ahead, or no
+// events at all — collapse into one epoch instead of thousands of
+// W-sized ones. A cross event is staged at the top of the epoch after
+// the one that posted it, which is no later than the epoch executing it,
+// so with the canonical staging lane the executed stream does not depend
+// on where run_until deadlines, sampler ticks or control events cut the
+// epochs (the epoch-cut invariance tests pin this).
+//
+// Threads: the thread calling run_until runs shard 0 itself, and K - 1
+// pool threads run shards 1..K-1 (K = 1 runs inline, with no pool). Each
+// epoch costs one barrier crossing: a worker arrives when its shard is
+// done and waits; the caller, done with shard 0, waits for the arrivals,
+// then runs the completion step — pick the next end, apply due staged
+// actions, publish completed_through(), flip the channel sets — and
+// releases the workers into the next epoch.
 //
 // Determinism: given the same initial state and the same sequence of
 // run_until calls, the engine executes the identical event stream
@@ -40,13 +52,13 @@
 // Between run_until calls every shard is parked at `now()`; the caller
 // (the control plane: scenario construction, workload actions, metric
 // snapshots) may freely read and mutate world state in that window. The
-// epoch machinery's barrier handoff provides the happens-before edges
-// between control mutations and worker reads.
+// barrier handoff provides the happens-before edges between control
+// mutations and worker reads.
 //
 // Staged control: a run_until call may also carry control actions that
 // need no epoch cut of their own (churn joins and departures; see
-// staged_actions). The coordinator applies each one at the barrier that
-// opens the epoch holding its time, so churn rides inside window-wide
+// staged_actions). The completion step applies each one before the
+// epoch holding its time, so churn rides inside window-wide
 // epochs. Such an action may only read control-plane state no shard
 // event writes, and reaches shard state through `post` — the departure
 // event keyed (t, control_order, id) runs after every peer event of its
@@ -56,7 +68,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <exception>
 #include <memory>
 #include <vector>
 
@@ -68,9 +79,9 @@
 namespace nylon::sim {
 
 /// Control actions a run_until call may apply at epoch barriers instead
-/// of cutting an epoch at their times. The sharded coordinator applies
-/// an action at the barrier opening the epoch that holds its time; the
-/// serial engines run each one at its exact time. Actions run in
+/// of cutting an epoch at their times. The sharded engine applies an
+/// action in the completion step opening the epoch that holds its time;
+/// the serial engines run each one at its exact time. Actions run in
 /// next_time() order and may add further actions.
 class staged_actions {
  public:
@@ -123,11 +134,16 @@ class shard_engine {
   ///
   /// `staged` (optional) holds control actions at >= now(). Each epoch
   /// ends at min(t_min, next staged time) + W; before it starts, the
-  /// coordinator applies every staged action due before that end, in
-  /// order, and stages the events they post. Actions at `deadline` or
-  /// later are left pending: the caller runs them once every event at
-  /// `deadline` has executed, as it would a cut action.
+  /// completion step applies every staged action due before that end, in
+  /// order; the events they post are staged at the epoch's top. Actions
+  /// at `deadline` or later are left pending: the caller runs them once
+  /// every event at `deadline` has executed, as it would a cut action.
   void run_until(sim_time deadline, staged_actions* staged = nullptr);
+
+  /// Earliest pending event across all shards — queues, staging lanes
+  /// and events still in a channel; time_never when none. Read it while
+  /// parked.
+  [[nodiscard]] sim_time next_event_time() const noexcept;
 
   /// Total events executed across all shards.
   [[nodiscard]] std::uint64_t events_executed() const noexcept;
@@ -167,14 +183,19 @@ class shard_engine {
     scheduler sched;
     std::vector<channel_event> drain_scratch;  ///< recycled across epochs
     std::vector<std::size_t> drain_bounds;     ///< segment-merge scratch
+    /// Earliest `at` this shard posted into each channel set since the
+    /// set was last drained (time_never when none). Written by the
+    /// shard's own thread mid-epoch, or by the control plane while
+    /// parked.
+    sim_time posted_min[2] = {time_never, time_never};
     // Epoch-profiler accumulators. work/wait are wall-clock seconds,
-    // written only by this shard's worker before it arrives at the
-    // finish barrier (or by the coordinator on the single-shard inline
-    // path); read by the control plane while the engine is parked. The wall numbers stay zero when telemetry is
-    // compiled out; the barrier-resolution counts are always maintained
-    // (they cost two adds per epoch).
-    double work_s = 0.0;  ///< run_until + drain_inbound
-    double wait_s = 0.0;  ///< blocked at the mid / finish barriers
+    // written only by the thread running this shard before it arrives at
+    // the barrier; read by the control plane while the engine is parked.
+    // The wall numbers stay zero when telemetry is compiled out; the
+    // barrier-resolution counts are always maintained (they cost two
+    // adds per epoch).
+    double work_s = 0.0;  ///< drain_inbound + run_until
+    double wait_s = 0.0;  ///< blocked at the epoch's one barrier crossing
     std::uint64_t spin_waits = 0;  ///< barrier crossings resolved spinning
     std::uint64_t park_waits = 0;  ///< crossings that slept on the condvar
   };
@@ -185,27 +206,36 @@ class shard_engine {
   [[nodiscard]] sim_time next_epoch_end(sim_time bound,
                                         sim_time staged_at) const;
 
-  /// Runs one epoch over [now_, end): every shard executes its events
-  /// with timestamp < end, then every shard drains its inbound channels
-  /// into its staging lane. Inline for one shard, on the worker pool
-  /// otherwise.
-  void run_epoch(sim_time end);
+  /// Runs one epoch over [now_, end): publishes the epoch's floors and
+  /// flips the channel sets, then every shard runs run_shard — shard 0
+  /// on this thread, the others on the pool — and the call returns once
+  /// all have finished. `run_start` marks a run_until call's first epoch,
+  /// whose workers waited through the control plane, not an epoch.
+  void run_epoch(sim_time end, bool run_start);
 
-  /// Barrier-side work for shard `dst`: gather the column of channels
-  /// (*, dst) in source-shard order, canonical-merge the per-source
-  /// segments, and stage the batch into the destination's lane.
+  /// One shard's epoch body: drain_inbound, then run its events through
+  /// `target` (inclusive).
+  void run_shard(std::size_t index, sim_time target);
+
+  /// Shard `dst`'s top-of-epoch drain: gather its column of the channel
+  /// set posted last epoch in source-shard order, canonical-merge the
+  /// per-source segments, and stage the batch into the destination's
+  /// lane.
   void drain_inbound(std::size_t dst);
 
-  [[nodiscard]] shard_channel& channel(std::size_t src,
+  [[nodiscard]] shard_channel& channel(std::size_t set, std::size_t src,
                                        std::size_t dst) noexcept {
-    return channels_[src * shards_.size() + dst];
+    return channels_[(set * shards_.size() + src) * shards_.size() + dst];
   }
 
   void start_workers();
   void stop_workers() noexcept;
 
   std::vector<std::unique_ptr<shard>> shards_;
-  std::vector<shard_channel> channels_;  ///< K*K, row-major by source
+  /// Two sets of K*K, each row-major by source.
+  std::vector<shard_channel> channels_;
+  /// The set `post` writes this epoch; shards drain the other one.
+  std::size_t post_set_ = 0;
   sim_time window_;
   sim_time now_ = 0;
   std::uint64_t epochs_ = 0;   ///< lockstep epochs completed
@@ -214,14 +244,13 @@ class shard_engine {
   /// Lower bound `post` enforces: the running epoch's exclusive end, or
   /// the parked barrier time between run_until calls.
   sim_time post_floor_ = 0;
-  /// See completed_through(). Published by the coordinator before each
-  /// epoch's start barrier; workers read it mid-epoch, so it is the one
+  /// See completed_through(). Published in the completion step before
+  /// each epoch's release; workers read it mid-epoch, so it is the one
   /// atomic in the epoch bookkeeping.
   std::atomic<sim_time> lease_floor_{-1};
 
-  struct worker_pool;  // threads + barriers; built lazily on first use
+  struct worker_pool;  // threads + barrier; built on the first K > 1 run
   std::unique_ptr<worker_pool> pool_;
-  std::exception_ptr worker_error_;
 };
 
 }  // namespace nylon::sim

@@ -187,7 +187,9 @@ void engine::drain_until(sim::sim_time until) {
     world_.run_until(at, this);
     run_due_actions(at);
   }
-  world_.run_until(until);
+  // The last run usually reached `until` already; run again only if the
+  // actions at `until` left something due there.
+  if (!world_.idle_through(until)) world_.run_until(until);
 }
 
 engine::action_queue* engine::next_queue() noexcept {

@@ -125,5 +125,28 @@ TEST(scenario, different_protocols_run) {
   }
 }
 
+/// What lets the workload engine skip a trailing empty run: a world at t
+/// with nothing due at t is idle through t, but an action at t that
+/// schedules an event at t (a sampler tick can run such actions) makes it
+/// busy again until a run at t executes that event.
+TEST(scenario, idle_through_sees_events_an_action_leaves_at_t) {
+  for (const std::size_t shards : {std::size_t{0}, std::size_t{2}}) {
+    experiment_config cfg = tiny();
+    cfg.shards = shards;
+    scenario world(cfg);
+    const sim::sim_time t = sim::seconds(3);
+    world.run_until(t);
+    EXPECT_TRUE(world.idle_through(t)) << shards;
+    EXPECT_FALSE(world.idle_through(t + 1)) << shards;  // not there yet
+
+    bool ran = false;
+    world.scheduler().at(t, [&ran] { ran = true; });
+    EXPECT_FALSE(world.idle_through(t)) << shards;
+    world.run_until(t);
+    EXPECT_TRUE(ran) << shards;
+    EXPECT_TRUE(world.idle_through(t)) << shards;
+  }
+}
+
 }  // namespace
 }  // namespace nylon::runtime
