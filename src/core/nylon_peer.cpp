@@ -297,7 +297,7 @@ void nylon_peer::merge_and_learn(const gossip_message& msg,
       // A full-timeout advertisement means the partner holds a fresh
       // direct hole to this entry: authoritative, replaces stale chains.
       // (Replacing on *any* fresher copy was tried and re-introduces the
-      // pointer-cycle instability — see EXPERIMENTS.md's Fig. 9 notes.)
+      // pointer-cycle instability.)
       const bool authoritative =
           advertised >= routing_.hole_timeout() - cfg_.shuffle_period;
       routing_.learn_route(e.peer.id, msg.src.id, now + advertised, now,

@@ -18,18 +18,16 @@ void peer::attach(net::node_id id) {
 
 void peer::start(sim::sim_time first_shuffle) {
   NYLON_EXPECTS(self_.id != net::nil_node);
-  NYLON_EXPECTS(!running_);
-  running_ = true;
+  NYLON_EXPECTS(state_ == lifecycle::idle);
+  state_ = lifecycle::running;
   // The peer's own shard scheduler in shard mode (the universe scheduler
   // otherwise): a peer's timer chain must live where its events run.
-  timer_ = transport_.scheduler_for(self_.id)
-               .every(first_shuffle, cfg_.shuffle_period,
-                      [this] { initiate_shuffle(); });
-}
-
-void peer::stop() {
-  timer_.cancel();
-  running_ = false;
+  transport_.scheduler_for(self_.id)
+      .every(first_shuffle, cfg_.shuffle_period, [this] {
+        if (!running()) return false;
+        initiate_shuffle();
+        return running();
+      });
 }
 
 void peer::refresh_self() {

@@ -44,10 +44,15 @@ class peer : public net::endpoint_handler, public peer_sampling_service {
 
   /// Schedules the periodic shuffle, first firing at `first_shuffle`
   /// (scenarios randomize the phase so peers do not fire in lockstep).
+  /// Once only: a peer that was started or stopped cannot be started
+  /// again (a rejoin is a new peer), so no second shuffle chain can run
+  /// beside a stopped one whose hop is still queued.
   void start(sim::sim_time first_shuffle);
 
-  /// Cancels the shuffle timer (peer departure).
-  void stop();
+  /// Stops the periodic shuffle (peer departure). The one hop already
+  /// queued still fires, sees the peer stopped, and ends the chain
+  /// without shuffling, so the peer must outlive its scheduler's run.
+  void stop() noexcept { state_ = lifecycle::stopped; }
 
   /// Re-reads the advertised endpoint from the transport — the deployment
   /// equivalent of re-running STUN after the peer's NAT re-bound. Future
@@ -55,7 +60,9 @@ class peer : public net::endpoint_handler, public peer_sampling_service {
   /// stay stale until they age out.
   void refresh_self();
 
-  [[nodiscard]] bool running() const noexcept { return running_; }
+  [[nodiscard]] bool running() const noexcept {
+    return state_ == lifecycle::running;
+  }
   [[nodiscard]] net::node_id id() const noexcept { return self_.id; }
   [[nodiscard]] const node_descriptor& self() const noexcept { return self_; }
   [[nodiscard]] const view& current_view() const noexcept { return view_; }
@@ -103,9 +110,10 @@ class peer : public net::endpoint_handler, public peer_sampling_service {
   shuffle_stats stats_;
 
  private:
+  enum class lifecycle : std::uint8_t { idle, running, stopped };
+
   node_descriptor self_;
-  sim::event_handle timer_;
-  bool running_ = false;
+  lifecycle state_ = lifecycle::idle;
   /// Reused by build_buffer: a shuffle fires every period on every peer,
   /// and a fresh vector each time was the hottest allocation after the
   /// payloads themselves.

@@ -107,8 +107,10 @@ scenario::scenario(const experiment_config& cfg) : cfg_(cfg), rng_(cfg.seed) {
   // Periodic NAT garbage collection keeps device tables bounded. A
   // control-plane event in shard mode: it runs at an epoch barrier with
   // every shard parked.
-  sched_.every(sim::seconds(30), sim::seconds(30),
-               [this] { transport_->purge_nat_state(); });
+  sched_.every(sim::seconds(30), sim::seconds(30), [this] {
+    transport_->purge_nat_state();
+    return true;
+  });
 }
 
 util::rng& scenario::peer_rng_for(net::node_id id) {
@@ -128,20 +130,11 @@ void scenario::run_periods(std::int64_t periods) {
 
 void scenario::run_until(sim::sim_time deadline,
                          sim::staged_actions* staged) {
-  const sim::sim_time next_tick = next_sample_time();
-  if (next_tick > deadline) {
-    // No sampler due before the deadline: the plain engine dispatch,
-    // byte-for-byte the pre-sampler behavior.
-    run_until_plain(deadline, staged);
-    obs::count_peak(obs::counter::sim_time_ms,
-                    static_cast<std::uint64_t>(std::max<sim::sim_time>(
-                        sched_.now(), 0)));
-    return;
-  }
   // Sampler ticks interleave by splitting run_until at the tick times.
   // run_until_plain(t) executes every event at or before t and then
   // advances the clock to exactly t, so the split is invisible to the
-  // event stream — digests match the unsampled run byte-for-byte.
+  // event stream — digests match the unsampled run byte-for-byte. With
+  // no tick due by `deadline` the loop runs once and fires nothing.
   for (;;) {
     const sim::sim_time target = std::min(deadline, next_sample_time());
     run_until_plain(target, staged);

@@ -127,7 +127,7 @@ class scenario {
   void remove_peer(net::node_id id) { depart_peer_at(id, sched_.now()); }
 
   /// Fail-stop departure at `at`: takes the peer off the alive lists at
-  /// once; stopping it (timer cancelled, liveness flag cleared) happens
+  /// once; stopping it (peer::stop, liveness flag cleared) happens
   /// at `at`. Run by a staged action ahead of `at`, the stop is an event
   /// on the peer's own shard keyed (at, control_order, id), so it runs
   /// after every peer event of that millisecond — where a cut action
@@ -259,10 +259,11 @@ class scenario {
   [[nodiscard]] sim::sim_time next_sample_time() const noexcept;
   /// Fires every sampler whose tick is due at `t` (slot order).
   void fire_samplers(sim::sim_time t);
-  /// run_until without sampler interleaving — the original engine
-  /// dispatch, shared by the plain and sampled paths.
+  /// run_until without sampler interleaving: the engine dispatch
+  /// run_until calls between sampler ticks.
   void run_until_plain(sim::sim_time deadline, sim::staged_actions* staged);
-  /// Stops a departing peer: cancels its timer, clears its liveness.
+  /// Stops a departing peer (its queued shuffle hop then ends the
+  /// chain without shuffling) and clears its liveness.
   void stop_peer(gossip::peer& p);
 
   experiment_config cfg_;
@@ -279,7 +280,7 @@ class scenario {
   /// The latest join time, and the first id that joined at it (ids grow
   /// with join order). A peer departing at its join instant has run
   /// nothing, so depart_peer_at stops it at once — its zero-phase first
-  /// shuffle, already queued at that instant, must never fire.
+  /// hop, already queued at that instant, must never shuffle.
   sim::sim_time join_instant_ = sim::time_never;
   net::node_id join_instant_first_ = 0;
 };

@@ -11,7 +11,7 @@ namespace nylon::sim {
 void event_queue::grow_slab() {
   // Default-init, not value-init: zeroing every slot's 64-byte inline
   // buffer (~50 KB per chunk) is measurable on queue-heavy benches.
-  slab_->chunks.emplace_back(
+  slab_.chunks.emplace_back(
       new detail::event_slot[detail::event_slab::chunk_size]);
 }
 
@@ -142,23 +142,6 @@ sim_time event_queue::run_lane_front() {
   }
   fn();
   return at;
-}
-
-void event_queue::skip_cancelled_slow() const noexcept {
-  auto* self = const_cast<event_queue*>(this);
-  while (!time_heap_.empty()) {
-    bucket& b = self->buckets_[front_bucket()];
-    while (b.head != no_slot) {
-      detail::event_slot& s = slab_->slot(b.head);
-      if (!s.cancelled) return;  // live front event
-      const std::uint32_t slot = b.head;
-      b.head = s.next;
-      if (b.head == no_slot) b.tail = no_slot;
-      self->release_slot(slot);  // decrements cancelled_pending
-      --self->queued_;
-    }
-    self->retire_front_bucket();  // bucket fully drained
-  }
 }
 
 }  // namespace nylon::sim

@@ -1,55 +1,8 @@
 #include "sim/scheduler.h"
 
-#include <memory>
-#include <utility>
-
 #include "util/contracts.h"
 
 namespace nylon::sim {
-
-struct scheduler::periodic_state {
-  scheduler* owner;
-  sim_time period;
-  util::callback fn;
-  // The externally visible cancellation flag; shared with the returned
-  // handle. Each hop of the chain checks it before rescheduling. One
-  // allocation per periodic *task* — the per-hop events are pooled, and
-  // the chain passes unique ownership of this state from hop to hop
-  // (util::callback is move-only, so a unique_ptr capture works where
-  // std::function would have forced shared_ptr refcounting per hop).
-  std::shared_ptr<bool> cancelled = std::make_shared<bool>(false);
-
-  static void schedule_hop(std::unique_ptr<periodic_state> state,
-                           sim_time when) {
-    scheduler* owner = state->owner;
-    owner->queue_.push(when, [state = std::move(state)]() mutable {
-      if (*state->cancelled) return;  // dropping `state` frees the chain
-      state->fn();
-      if (*state->cancelled) return;
-      const sim_time next = state->owner->now() + state->period;
-      schedule_hop(std::move(state), next);  // reentrant push is safe
-    });
-  }
-};
-
-event_handle scheduler::every(sim_time first, sim_time period,
-                              util::callback fn) {
-  NYLON_EXPECTS(first >= now_);
-  NYLON_EXPECTS(period > 0);
-  auto state = std::make_unique<periodic_state>();
-  state->owner = this;
-  state->period = period;
-  state->fn = std::move(fn);
-  // Wrap the shared cancellation flag in a handle compatible with the
-  // single-shot API.
-  struct access : event_handle {
-    explicit access(std::shared_ptr<bool> f)
-        : event_handle(std::move(f)) {}
-  };
-  access handle(state->cancelled);
-  periodic_state::schedule_hop(std::move(state), first);
-  return handle;
-}
 
 void scheduler::run_until(sim_time deadline) {
   NYLON_EXPECTS(deadline >= now_);
@@ -60,13 +13,6 @@ void scheduler::run_until(sim_time deadline) {
     queue_.pop_and_run();
   }
   now_ = deadline;
-}
-
-bool scheduler::step() {
-  if (queue_.empty()) return false;
-  now_ = queue_.next_time();
-  queue_.pop_and_run();
-  return true;
 }
 
 }  // namespace nylon::sim

@@ -3,12 +3,13 @@
 #pragma once
 
 #include <cstdint>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.h"
 #include "sim/time.h"
 #include "util/contracts.h"
-#include "util/inplace_function.h"
 
 namespace nylon::sim {
 
@@ -24,21 +25,36 @@ class scheduler {
   /// Schedules `fn` at absolute time `at` (>= now). Templated (like
   /// event_queue::push) so captures land directly in the event pool.
   template <typename F>
-  event_handle at(sim_time when, F&& fn) {
+  void at(sim_time when, F&& fn) {
     NYLON_EXPECTS(when >= now_);
-    return queue_.push(when, std::forward<F>(fn));
+    queue_.push(when, std::forward<F>(fn));
   }
 
   /// Schedules `fn` after `delay` (>= 0) from now.
   template <typename F>
-  event_handle after(sim_time delay, F&& fn) {
+  void after(sim_time delay, F&& fn) {
     NYLON_EXPECTS(delay >= 0);
-    return queue_.push(now_ + delay, std::forward<F>(fn));
+    queue_.push(now_ + delay, std::forward<F>(fn));
   }
 
-  /// Schedules `fn` to run every `period` (> 0), first at `first`.
-  /// The task reschedules itself until its handle is cancelled.
-  event_handle every(sim_time first, sim_time period, util::callback fn);
+  /// Runs `fn` every `period` (> 0), first at `first`, for as long as it
+  /// returns true ("keep going"). This is the one way to stop a timer:
+  /// the hop whose `fn` returns false schedules no successor. A task
+  /// stopped from outside (a departed peer) has its owner's `fn` check
+  /// its own state and return false, so the hop already queued still
+  /// pops and counts as one executed event, and nothing follows it.
+  /// Whatever `fn` touches must outlive that hop.
+  template <typename F>
+    requires std::is_invocable_r_v<bool, F&>
+  void every(sim_time first, sim_time period, F fn) {
+    NYLON_EXPECTS(first >= now_);
+    NYLON_EXPECTS(period > 0);
+    // The queue's push-site null check sees the hop, not `fn`.
+    if constexpr (requires { fn == nullptr; }) {
+      NYLON_EXPECTS(!(fn == nullptr));
+    }
+    queue_.push(first, periodic_hop<F>{this, period, std::move(fn)});
+  }
 
   /// Stages canonically sorted cross-shard events (all >= now) into the
   /// queue's staging lane; see event_queue::stage_sorted. Shard-engine
@@ -62,9 +78,6 @@ class scheduler {
   /// Runs for `duration` of simulated time from now.
   void run_for(sim_time duration) { run_until(now_ + duration); }
 
-  /// Executes the single next event, if any; returns false when idle.
-  bool step();
-
   /// Total events executed.
   [[nodiscard]] std::uint64_t events_executed() const noexcept {
     return queue_.executed();
@@ -76,13 +89,22 @@ class scheduler {
     return queue_.next_time();
   }
 
-  /// True if no further events are queued.
-  [[nodiscard]] bool idle() const noexcept { return queue_.empty(); }
-
  private:
-  // A periodic task owns its state via shared_ptr so that cancellation of
-  // the returned handle stops the self-rescheduling chain.
-  struct periodic_state;
+  /// One hop of a periodic task. The task's state travels inside the
+  /// queued event itself: each hop moves it into its successor, so a task
+  /// allocates nothing beyond its pooled event slots.
+  template <typename F>
+  struct periodic_hop {
+    scheduler* owner;
+    sim_time period;
+    F fn;
+
+    void operator()() {
+      // Runs in place in its slot (see event_queue::pop_and_run), so
+      // moving *this into the successor's slot is safe.
+      if (fn()) owner->after(period, std::move(*this));
+    }
+  };
 
   sim_time now_ = 0;
   event_queue queue_;

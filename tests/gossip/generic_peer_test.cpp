@@ -194,6 +194,40 @@ TEST(generic_peer, double_start_rejected) {
   EXPECT_THROW(a.start(0), nylon::contract_error);
 }
 
+// Start is once-only: a restart would queue a second shuffle chain beside
+// the stopped one whose last hop may still be pending.
+TEST(generic_peer, start_after_stop_rejected) {
+  world w(small_config());
+  generic_peer& a = w.add(nat::nat_type::open);
+  a.start(0);
+  w.run_periods(2);
+  a.stop();
+  EXPECT_THROW(a.start(w.sched_.now()), nylon::contract_error);
+  generic_peer& b = w.add(nat::nat_type::open);
+  b.stop();  // departs before it ever started
+  EXPECT_THROW(b.start(w.sched_.now()), nylon::contract_error);
+}
+
+// The property every digest rests on: stopping a peer leaves its one
+// queued hop in place. That hop still pops and counts as one executed
+// event, but it runs no shuffle and schedules no successor.
+TEST(generic_peer, stopped_peer_pending_hop_runs_once_without_shuffling) {
+  world w(small_config());
+  generic_peer& a = w.add(nat::nat_type::open);  // alone: only its hops run
+  a.start(0);
+  const sim::sim_time period = w.cfg_.shuffle_period;
+  w.sched_.run_until(2 * period + period / 2);  // hops at 0, P, 2P
+  ASSERT_EQ(w.sched_.events_executed(), 3u);
+  ASSERT_EQ(a.stats().empty_view_skips, 3u);  // one initiate_shuffle each
+  a.stop();
+  EXPECT_EQ(w.sched_.next_event_time(), 3 * period);  // the queued hop
+  w.run_periods(10);
+  EXPECT_EQ(w.sched_.events_executed(), 4u);  // it ran, as one event
+  EXPECT_EQ(a.stats().empty_view_skips, 3u);  // without initiate_shuffle
+  EXPECT_EQ(a.stats().initiated, 0u);
+  EXPECT_EQ(w.sched_.next_event_time(), sim::time_never);  // no later hop
+}
+
 TEST(generic_peer, ages_increase_per_period) {
   world w(small_config());
   generic_peer& a = w.add(nat::nat_type::open);

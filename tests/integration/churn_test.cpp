@@ -36,7 +36,7 @@ TEST_P(churn_sweep, survives_mass_departure) {
       metrics::measure_clusters(world.transport(), world.peers(), oracle);
   // Paper Fig. 10 (at 10k peers): no partition up to 50% departures,
   // graceful degradation beyond. At this test's 500-peer scale the
-  // >=70% cases genuinely fragment sometimes (see EXPERIMENTS.md), so
+  // >=70% cases genuinely fragment sometimes, so
   // beyond 50% only survival-with-degradation is asserted.
   const double expectation = departures <= 0.5 ? 85.0 : 20.0;
   EXPECT_GT(clusters.biggest_cluster_pct, expectation)

@@ -115,7 +115,7 @@ TEST(nylon_system, sampling_stream_passes_runs_and_serial_tests) {
     }
   }
   const auto battery = metrics::run_battery(sampled, 250);
-  // Composition is slightly public-biased (see EXPERIMENTS.md), but the
+  // Composition is slightly public-biased, but the
   // stream must be independent and well-spread.
   EXPECT_GT(battery.runs.p_value, 0.001);
   EXPECT_LT(std::abs(battery.serial), 0.1);

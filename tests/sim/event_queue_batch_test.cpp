@@ -37,7 +37,6 @@ TEST(event_queue_batch, lane_interleaves_with_queue_local_first_at_ties) {
   EXPECT_TRUE(batch.empty());
 
   EXPECT_EQ(q.next_time(), 4);
-  EXPECT_EQ(q.raw_size(), 5u);
   while (!q.empty()) q.pop_and_run();
   // Ties go to the queue: q@5 before lane@5.
   const std::vector<std::string> want = {"lane@4", "q@5", "lane@5", "lane@6",

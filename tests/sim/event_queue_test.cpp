@@ -45,39 +45,24 @@ TEST(event_queue, pop_returns_event_time) {
   EXPECT_EQ(q.pop_and_run(), 17);
 }
 
-TEST(event_queue, cancel_prevents_execution) {
+TEST(event_queue, next_time_tracks_the_earliest_event) {
   event_queue q;
-  bool ran = false;
-  auto handle = q.push(1, [&] { ran = true; });
-  handle.cancel();
-  EXPECT_TRUE(q.empty());
-  EXPECT_FALSE(ran);
-}
-
-TEST(event_queue, cancel_is_idempotent) {
-  event_queue q;
-  auto handle = q.push(1, [] {});
-  handle.cancel();
-  handle.cancel();
-  EXPECT_TRUE(q.empty());
-}
-
-TEST(event_queue, cancelled_events_skipped_in_next_time) {
-  event_queue q;
-  auto early = q.push(1, [] {});
   q.push(9, [] {});
-  early.cancel();
+  q.push(1, [] {});
+  EXPECT_EQ(q.next_time(), 1);
+  q.pop_and_run();
   EXPECT_EQ(q.next_time(), 9);
+  q.pop_and_run();
+  EXPECT_EQ(q.next_time(), time_never);
 }
 
 TEST(event_queue, executed_counter) {
   event_queue q;
   q.push(1, [] {});
   q.push(2, [] {});
-  auto cancelled = q.push(3, [] {});
-  cancelled.cancel();
+  q.push(3, [] {});
   while (!q.empty()) q.pop_and_run();
-  EXPECT_EQ(q.executed(), 2u);
+  EXPECT_EQ(q.executed(), 3u);
 }
 
 TEST(event_queue, events_scheduled_during_execution) {
@@ -110,45 +95,8 @@ TEST(event_queue, empty_nullable_callables_rejected) {
   EXPECT_TRUE(q.empty());  // no orphaned slots or buckets
 }
 
-TEST(event_handle, default_is_invalid) {
-  event_handle h;
-  EXPECT_FALSE(h.valid());
-  h.cancel();  // must be safe
-}
-
-TEST(event_handle, copies_share_cancellation) {
-  event_queue q;
-  bool ran = false;
-  event_handle a = q.push(1, [&] { ran = true; });
-  event_handle b = a;  // copy
-  b.cancel();
-  EXPECT_TRUE(q.empty());
-  EXPECT_FALSE(ran);
-}
-
-TEST(event_handle, stale_handle_cannot_cancel_recycled_slot) {
-  event_queue q;
-  event_handle first = q.push(1, [] {});
-  q.pop_and_run();  // slot recycled
-  bool ran = false;
-  q.push(2, [&] { ran = true; });  // very likely reuses the slot
-  first.cancel();                  // must be inert (generation mismatch)
-  while (!q.empty()) q.pop_and_run();
-  EXPECT_TRUE(ran);
-}
-
-TEST(event_handle, cancel_after_queue_destroyed_is_safe) {
-  event_handle h;
-  {
-    event_queue q;
-    h = q.push(5, [] {});
-  }
-  h.cancel();  // must not touch freed memory
-  EXPECT_TRUE(h.valid());
-}
-
 /// Differential stress test: the calendar-bucket queue must execute an
-/// arbitrary interleaving of pushes, pops and cancellations in exactly
+/// arbitrary interleaving of pushes and pops in exactly
 /// (time, insertion-seq) order — the ordering contract every simulation's
 /// bit-reproducibility rests on.
 TEST(event_queue, order_matches_reference_under_random_workload) {
@@ -156,8 +104,6 @@ TEST(event_queue, order_matches_reference_under_random_workload) {
   event_queue q;
   std::vector<int> executed;                     // event ids, in run order
   std::vector<std::pair<sim_time, int>> live;    // reference: (time, id)
-  std::vector<event_handle> handles;
-  std::vector<int> handle_ids;
   int next_id = 0;
   sim_time now = 0;
 
@@ -166,12 +112,9 @@ TEST(event_queue, order_matches_reference_under_random_workload) {
     if (op < 6) {  // push (ids increase in insertion order)
       const sim_time at = now + static_cast<sim_time>(rng.uniform(0, 40));
       const int id = next_id++;
-      handles.push_back(q.push(at, [&executed, id] {
-        executed.push_back(id);
-      }));
-      handle_ids.push_back(id);
+      q.push(at, [&executed, id] { executed.push_back(id); });
       live.emplace_back(at, id);
-    } else if (op < 8) {  // pop one (if any)
+    } else {  // pop one (if any)
       if (!q.empty()) {
         const sim_time at = q.next_time();
         ASSERT_GE(at, now);
@@ -183,17 +126,6 @@ TEST(event_queue, order_matches_reference_under_random_workload) {
         ASSERT_EQ(executed.back(), it->second);
         ASSERT_EQ(at, it->first);
         live.erase(it);
-      }
-    } else {  // cancel a random outstanding handle
-      if (!handles.empty()) {
-        const std::size_t pick = rng.index(handles.size());
-        handles[pick].cancel();
-        const int id = handle_ids[pick];
-        std::erase_if(live, [&](const auto& e) { return e.second == id; });
-        handles.erase(handles.begin() +
-                      static_cast<std::ptrdiff_t>(pick));
-        handle_ids.erase(handle_ids.begin() +
-                         static_cast<std::ptrdiff_t>(pick));
       }
     }
   }

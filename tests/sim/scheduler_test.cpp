@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
+#include <functional>
 #include <vector>
 
 #include "util/contracts.h"
@@ -13,7 +13,7 @@ namespace {
 TEST(scheduler, clock_starts_at_zero) {
   scheduler s;
   EXPECT_EQ(s.now(), 0);
-  EXPECT_TRUE(s.idle());
+  EXPECT_EQ(s.next_event_time(), time_never);
 }
 
 TEST(scheduler, run_until_advances_clock_even_when_idle) {
@@ -54,7 +54,7 @@ TEST(scheduler, events_beyond_deadline_stay_queued) {
   s.at(101, [&] { ran = true; });
   s.run_until(100);
   EXPECT_FALSE(ran);
-  EXPECT_FALSE(s.idle());
+  EXPECT_EQ(s.next_event_time(), 101);
   s.run_until(101);
   EXPECT_TRUE(ran);
 }
@@ -69,95 +69,72 @@ TEST(scheduler, scheduling_in_past_throws) {
 TEST(scheduler, periodic_fires_on_schedule) {
   scheduler s;
   std::vector<sim_time> fires;
-  s.every(10, 25, [&] { fires.push_back(s.now()); });
+  s.every(10, 25, [&] {
+    fires.push_back(s.now());
+    return true;
+  });
   s.run_until(100);
   EXPECT_EQ(fires, (std::vector<sim_time>{10, 35, 60, 85}));
 }
 
+// Stopped from outside: the task's own state says stop, the hop already
+// queued fires once more (one executed event), returns false, and the
+// chain ends there.
 TEST(scheduler, periodic_cancel_stops_chain) {
   scheduler s;
   int count = 0;
-  auto handle = s.every(0, 10, [&] { ++count; });
+  bool running = true;
+  s.every(0, 10, [&] {
+    if (!running) return false;
+    ++count;
+    return true;
+  });
   s.run_until(35);
   EXPECT_EQ(count, 4);  // 0, 10, 20, 30
-  handle.cancel();
+  EXPECT_EQ(s.events_executed(), 4u);
+  running = false;
+  EXPECT_EQ(s.next_event_time(), 40);  // the hop queued before the stop
   s.run_until(100);
   EXPECT_EQ(count, 4);
+  EXPECT_EQ(s.events_executed(), 5u);
+  EXPECT_EQ(s.next_event_time(), time_never);
 }
 
 TEST(scheduler, periodic_cancel_from_inside_callback) {
   scheduler s;
   int count = 0;
-  sim::event_handle handle = s.every(0, 10, [&] {
-    if (++count == 3) handle.cancel();
-  });
+  s.every(0, 10, [&] { return ++count < 3; });
   s.run_until(1000);
   EXPECT_EQ(count, 3);
 }
 
-// Regression: cancelling an every() handle from inside its own callback
-// and then *destroying the handle* while the chain's state is still on
-// the scheduler stack must not use-after-free. The periodic state is kept
-// alive by the chain's own shared_ptr, not by the handle.
-TEST(scheduler, periodic_cancel_and_destroy_handle_inside_callback) {
-  scheduler s;
-  int count = 0;
-  auto handle = std::make_unique<event_handle>();
-  *handle = s.every(0, 10, [&] {
-    if (++count == 2) {
-      handle->cancel();
-      handle.reset();  // the only external owner of the flag dies here
-    }
-  });
-  s.run_until(1000);
-  EXPECT_EQ(count, 2);
-  EXPECT_TRUE(s.idle());  // the chain really stopped rescheduling
-}
-
-// Cancelling after the scheduler (and its queue) are gone is documented
-// as safe; the handle only flips its shared flag.
-TEST(scheduler, cancel_outlives_scheduler) {
-  event_handle handle;
-  {
-    scheduler s;
-    handle = s.every(0, 10, [] {});
-    s.run_until(25);
-  }
-  handle.cancel();  // must not touch freed queue memory
-  EXPECT_TRUE(handle.valid());
-}
-
-// A cancelled chain must not leave a live hop in the queue: after the
-// in-callback cancel, the queue drains completely.
+// A chain whose callback returns false must not leave a live hop in the
+// queue: after that firing, the queue drains completely.
 TEST(scheduler, periodic_cancel_inside_callback_leaves_no_pending_hop) {
   scheduler s;
   int count = 0;
-  event_handle handle = s.every(5, 10, [&] {
+  s.every(5, 10, [&] {
     ++count;
-    handle.cancel();
+    return false;
   });
   s.run_until(5);  // exactly the first firing
   EXPECT_EQ(count, 1);
-  EXPECT_TRUE(s.idle());
+  EXPECT_EQ(s.next_event_time(), time_never);
   s.run_until(1000);
   EXPECT_EQ(count, 1);
 }
 
 TEST(scheduler, periodic_rejects_nonpositive_period) {
   scheduler s;
-  EXPECT_THROW(s.every(0, 0, [] {}), nylon::contract_error);
+  EXPECT_THROW(s.every(0, 0, [] { return true; }), nylon::contract_error);
+  EXPECT_EQ(s.next_event_time(), time_never);
 }
 
-TEST(scheduler, step_executes_single_event) {
+TEST(scheduler, periodic_rejects_empty_callable) {
   scheduler s;
-  int count = 0;
-  s.at(1, [&] { ++count; });
-  s.at(2, [&] { ++count; });
-  EXPECT_TRUE(s.step());
-  EXPECT_EQ(count, 1);
-  EXPECT_EQ(s.now(), 1);
-  EXPECT_TRUE(s.step());
-  EXPECT_FALSE(s.step());
+  EXPECT_THROW(s.every(0, 10, std::function<bool()>{}),
+               nylon::contract_error);
+  EXPECT_EQ(s.next_event_time(), time_never);
 }
 
 TEST(scheduler, events_executed_counter) {
@@ -170,8 +147,14 @@ TEST(scheduler, events_executed_counter) {
 TEST(scheduler, interleaved_periodic_tasks_deterministic) {
   scheduler s;
   std::vector<int> order;
-  s.every(0, 10, [&] { order.push_back(1); });
-  s.every(0, 10, [&] { order.push_back(2); });
+  s.every(0, 10, [&] {
+    order.push_back(1);
+    return true;
+  });
+  s.every(0, 10, [&] {
+    order.push_back(2);
+    return true;
+  });
   s.run_until(25);
   // Same timestamps -> FIFO by insertion: 1 before 2 at every firing.
   EXPECT_EQ(order, (std::vector<int>{1, 2, 1, 2, 1, 2}));
