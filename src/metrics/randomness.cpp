@@ -2,12 +2,21 @@
 
 #include <algorithm>
 #include <cmath>
+#include <math.h>
 
 #include "util/contracts.h"
 
 namespace nylon::metrics {
 
 namespace {
+
+/// ln Γ(a). std::lgamma stores the sign of Γ in the process-wide
+/// `signgam`, a data race once universes run probes on several threads;
+/// lgamma_r returns the same value and keeps the sign local.
+double log_gamma(double a) {
+  int sign = 0;
+  return ::lgamma_r(a, &sign);
+}
 
 /// Lower-regularized gamma P(a, x) via its power series (x < a + 1).
 double gamma_p_series(double a, double x) {
@@ -20,7 +29,7 @@ double gamma_p_series(double a, double x) {
     sum += del;
     if (std::abs(del) < std::abs(sum) * 1e-14) break;
   }
-  return sum * std::exp(-x + a * std::log(x) - std::lgamma(a));
+  return sum * std::exp(-x + a * std::log(x) - log_gamma(a));
 }
 
 /// Upper-regularized gamma Q(a, x) via continued fraction (x >= a + 1).
@@ -42,7 +51,7 @@ double gamma_q_cf(double a, double x) {
     h *= del;
     if (std::abs(del - 1.0) < 1e-14) break;
   }
-  return std::exp(-x + a * std::log(x) - std::lgamma(a)) * h;
+  return std::exp(-x + a * std::log(x) - log_gamma(a)) * h;
 }
 
 }  // namespace

@@ -62,18 +62,22 @@ inline constexpr std::size_t class_step = 64;
 inline constexpr std::size_t class_count = 64;
 inline constexpr std::uint32_t oversize = ~std::uint32_t{0};
 
-/// Per-thread recycled blocks, one stack per size class. Process
-/// lifetime (released at thread exit): payload lifetimes thread through
-/// schedulers, pending maps and transport leases, and a freelist that
-/// outlives all of them makes teardown order a non-issue.
+/// Per-thread recycled blocks, one stack per size class. Thread
+/// lifetime (released at thread exit, or by release_thread_payloads):
+/// payload lifetimes thread through schedulers, pending maps and
+/// transport leases, and a freelist that outlives all of them makes
+/// teardown order a non-issue.
 struct freelists {
   std::vector<void*> buckets[class_count];
   std::size_t live_bytes = 0;  ///< currently-allocated arena bytes
-  ~freelists() {
+  /// Hands every recycled block back to the system allocator.
+  void release() noexcept {
     for (auto& bucket : buckets) {
       for (void* block : bucket) ::operator delete(block);
+      std::vector<void*>().swap(bucket);
     }
   }
+  ~freelists() { release(); }
 };
 
 inline freelists& local_freelists() {
@@ -131,6 +135,14 @@ inline void recycle(const void* object) noexcept {
 }
 
 }  // namespace arena_detail
+
+/// Empties the calling thread's freelists into the system allocator. A
+/// worker that runs universe after universe calls it between them: the
+/// blocks one universe recycled would otherwise stay pinned, scattered
+/// through the heap, while the next universe builds its world.
+inline void release_thread_payloads() noexcept {
+  arena_detail::local_freelists().release();
+}
 
 /// Intrusive-refcounted handle to an arena-allocated object. Copy
 /// bumps a plain (non-atomic) u32 in the block header; destruction of

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <utility>
 
-#include "net/transport_backend.h"
+#include "net/udp_backend.h"
 #include "obs/counters.h"
 #include "obs/msglog.h"
 #include "util/contracts.h"
@@ -69,7 +69,7 @@ void transport::set_codec(const frame_codec* codec) {
   codec_ = codec;
 }
 
-void transport::set_backend(transport_backend* backend) {
+void transport::set_backend(udp_backend* backend) {
   NYLON_EXPECTS(node_count_ == 0);
   NYLON_EXPECTS(backend == nullptr || engine_ == nullptr);
   backend_ = backend;

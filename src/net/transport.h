@@ -27,7 +27,7 @@
 
 namespace nylon::net {
 
-class transport_backend;
+class udp_backend;
 
 /// A bound socket: receives datagrams addressed (post-NAT) to its owner.
 class endpoint_handler {
@@ -264,17 +264,17 @@ class transport {
   /// shard. Install before any node is added.
   void set_codec(const frame_codec* codec);
 
-  /// Installs a real-socket backend (or clears it, with nullptr): after
+  /// Installs the real-socket backend (or clears it, with nullptr): after
   /// NAT translation, accounting, and the loss/latency draws, in-flight
   /// datagrams are handed to `backend` instead of the scheduler; the
   /// backend calls deliver_inbound() when bytes arrive. Serial engine
   /// only (real sockets cannot honor the sharded epoch barriers).
   /// Install before any node is added.
-  void set_backend(transport_backend* backend);
+  void set_backend(udp_backend* backend);
 
-  /// Inbound entry point for backends: runs the delivery-time path (NAT
-  /// filtering, partition check, liveness, handler dispatch) for one
-  /// datagram that arrived from the wire.
+  /// Inbound entry point for the udp backend: runs the delivery-time
+  /// path (NAT filtering, partition check, liveness, handler dispatch)
+  /// for one datagram that arrived from the wire.
   void deliver_inbound(node_id from, const endpoint& source,
                        const endpoint& to, const payload* body,
                        std::size_t bytes);
@@ -400,7 +400,7 @@ class transport {
   transport_config cfg_;
   sim::shard_engine* engine_ = nullptr;  ///< null = classic serial engine
   /// Real-socket carrier for the in-flight leg (null = scheduler events).
-  transport_backend* backend_ = nullptr;
+  udp_backend* backend_ = nullptr;
   /// Frame serializer (null = payload structs fly as-is).
   const frame_codec* codec_ = nullptr;
   std::size_t shard_count_ = 1;     ///< node_shards_.size()

@@ -36,7 +36,6 @@
 #include "net/address.h"
 #include "net/message.h"
 #include "net/node_id.h"
-#include "net/transport_backend.h"
 #include "sim/scheduler.h"
 #include "sim/time.h"
 #include "util/flat_hash.h"
@@ -47,7 +46,7 @@ namespace nylon::net {
 
 class transport;
 
-class udp_backend final : public transport_backend {
+class udp_backend {
  public:
   struct config {
     /// Wall seconds per simulated second (0.02 = a 150 s experiment in
@@ -72,15 +71,25 @@ class udp_backend final : public transport_backend {
   /// parses the frames (wire::gossip_codec() in production).
   udp_backend(transport& transport, sim::scheduler& sched,
               const frame_codec& codec, config cfg);
-  ~udp_backend() override;
+  ~udp_backend();
 
   udp_backend(const udp_backend&) = delete;
   udp_backend& operator=(const udp_backend&) = delete;
 
-  void on_public_ip(node_id id, ip_address public_ip) override;
+  /// A node gained a public-facing IP: called by the transport once per
+  /// node at add_node (for natted nodes, with the NAT box's IP) and again
+  /// on every NAT rebind/migration with the fresh address. Maps the sim
+  /// IP to a real socket.
+  void on_public_ip(node_id id, ip_address public_ip);
+
+  /// Carries one datagram. Called by transport::send after translation,
+  /// accounting, and the loss/latency draws; arranges for
+  /// transport::deliver_inbound to run `delay` after `send_time` (in
+  /// simulated time) with this datagram's fields. Takes ownership of
+  /// `body`; `bytes` is the accounted wire size (UDP header + payload).
   void ship(node_id from, const endpoint& source, const endpoint& to,
             payload_ptr body, std::size_t bytes, sim::sim_time send_time,
-            sim::sim_time delay) override;
+            sim::sim_time delay);
 
   /// Drives the simulation to `deadline`: alternates between draining
   /// sockets, waiting (poll) until the next scheduler event or stamped

@@ -234,7 +234,7 @@ void msglog_dump(std::ostream& out, std::size_t limit) {
   for (const std::vector<hop_record>& group : groups) {
     if (limit != 0 && emitted++ >= limit) {
       out << "# msglog: ... " << (groups.size() - limit)
-          << " more (raise --msglog ring or lower the limit)\n";
+          << " more (--msglog-dump FILE writes the whole recording)\n";
       break;
     }
     char tag[24];

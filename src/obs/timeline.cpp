@@ -1,24 +1,11 @@
 #include "obs/timeline.h"
 
-#include <cstdio>
 #include <utility>
 
 #include "obs/trace.h"
 #include "util/contracts.h"
 
 namespace nylon::obs {
-
-namespace {
-
-/// Shortest round-trippable decimal — CSV cells must survive a parse
-/// back to the same double (%.17g would too, but is unreadable).
-void append_double(std::string& out, double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.10g", v);
-  out += buf;
-}
-
-}  // namespace
 
 timeline_recorder::timeline_recorder(double period_s,
                                      std::vector<std::string> columns)
@@ -40,35 +27,6 @@ util::json timeline_recorder::samples_json() const {
     for (const double v : r.values) sample.push_back(v);
   }
   return samples;
-}
-
-void timeline_recorder::write_csv(std::ostream& out, std::string_view cell,
-                                  int seed) const {
-  std::string line;
-  for (const row& r : rows_) {
-    line.assign(cell);
-    line += ',';
-    line += std::to_string(seed);
-    line += ',';
-    append_double(line, r.t_s);
-    for (const double v : r.values) {
-      line += ',';
-      append_double(line, v);
-    }
-    line += '\n';
-    out << line;
-  }
-}
-
-void timeline_recorder::write_csv_header(
-    std::ostream& out, const std::vector<std::string>& columns) {
-  std::string line = "cell,seed,t_s";
-  for (const std::string& c : columns) {
-    line += ',';
-    line += c;
-  }
-  line += '\n';
-  out << line;
 }
 
 std::vector<const char*> counter_track_names(

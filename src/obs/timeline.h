@@ -21,9 +21,7 @@
 #pragma once
 
 #include <cstddef>
-#include <ostream>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "util/json.h"
@@ -55,15 +53,6 @@ class timeline_recorder {
   /// Column names and the period are emitted once at the block level by
   /// the caller, not repeated per seed.
   [[nodiscard]] util::json samples_json() const;
-
-  /// Long-form CSV sample lines: `cell,seed,t_s,<v0>,<v1>,...`, one per
-  /// sample. The caller writes the header (write_csv_header) once.
-  void write_csv(std::ostream& out, std::string_view cell,
-                 int seed) const;
-
-  /// `cell,seed,t_s,<col0>,<col1>,...` header line for write_csv.
-  static void write_csv_header(std::ostream& out,
-                               const std::vector<std::string>& columns);
 
  private:
   struct row {

@@ -1,13 +1,13 @@
-// Multi-seed experiment driver: runs a measurement across independent
-// seeds (the paper averages 30) and aggregates — serially or on a thread
-// pool, with bit-identical results either way.
+// Multi-seed execution: a spec's independent universes (every cell at
+// every seed; the paper averages 30 seeds) run as one flat task list on
+// one worker pool. Each task writes only its own result slot, so the
+// results are bit-identical to a serial run on any thread count.
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <functional>
 #include <vector>
 
-#include "util/json.h"
 #include "util/stats.h"
 
 namespace nylon::runtime {
@@ -18,59 +18,19 @@ struct seed_aggregate {
   util::summary stats;         ///< summary over `values`
 };
 
-/// Execution knobs for the multi-seed drivers.
-struct run_options {
-  /// Worker threads: 1 = serial (default), 0 = one per hardware core,
-  /// n > 1 = exactly n. Each seed runs in its own fully independent
-  /// universe (scheduler + transport + rng), and results are stored by
-  /// seed index, so the aggregate is bit-identical to a serial run
-  /// regardless of scheduling. The experiment callback must not touch
-  /// shared mutable state.
-  int threads = 1;
-  /// Shards per universe (experiment_config::shards). Each sharded seed
-  /// spawns its own K worker threads, so concurrent seeds are budgeted
-  /// to keep seeds × shards within `threads`: with an 8-thread budget
-  /// and 4-shard universes, at most 2 seeds run at once. 0 (serial
-  /// engine) and 1 cost one thread per seed. Results are unaffected —
-  /// this only throttles concurrency.
-  std::size_t shards = 0;
-};
+/// Concurrent universes for `tasks` (> 0) universes on a budget of
+/// `threads` (0 = one per hardware core). A sharded universe spawns
+/// `shards` workers of its own, so universes × shards stays within the
+/// budget; 0 (serial engine) and 1 cost one thread each. Clamped to
+/// [1, tasks]: one universe always runs, even over budget.
+[[nodiscard]] int worker_budget(int threads, std::size_t shards, int tasks);
 
-/// Resolved concurrent-seed count for `opt`: the thread budget
-/// (0 = hardware cores) divided by the per-seed thread cost
-/// (max(1, shards)), clamped to [1, seed_count].
-[[nodiscard]] int resolve_threads(const run_options& opt, int seed_count);
-
-/// Runs `experiment` once per seed (seeds derived deterministically from
-/// `base_seed`) and aggregates the returned metric.
-[[nodiscard]] seed_aggregate run_seeds(
-    int seed_count, std::uint64_t base_seed,
-    const std::function<double(std::uint64_t seed)>& experiment,
-    run_options opt = {});
-
-/// Variant for experiments that produce several named metrics at once:
-/// returns one aggregate per metric index.
-[[nodiscard]] std::vector<seed_aggregate> run_seeds_multi(
-    int seed_count, std::uint64_t base_seed, std::size_t metric_count,
-    const std::function<std::vector<double>(std::uint64_t seed)>& experiment,
-    run_options opt = {});
-
-/// Multi-metric aggregates plus one opaque JSON capture per seed —
-/// the opt-in channel for rich per-seed artifacts (e.g. workload
-/// trajectory snapshots) that scalar aggregation would flatten away.
-struct multi_seed_result {
-  std::vector<seed_aggregate> aggregates;  ///< one per metric index
-  std::vector<util::json> captures;        ///< per-seed, in seed order
-};
-
-/// Like run_seeds_multi, but the experiment may additionally fill
-/// `capture` with arbitrary JSON (left null when it does not). Captures
-/// are stored by seed index, so the result is bit-identical to a serial
-/// run regardless of `opt.threads`.
-[[nodiscard]] multi_seed_result run_seeds_multi_captured(
-    int seed_count, std::uint64_t base_seed, std::size_t metric_count,
-    const std::function<std::vector<double>(std::uint64_t seed,
-                                            util::json& capture)>& experiment,
-    run_options opt = {});
+/// Runs `body(i)` once for every i in [0, count), each inside a "seed"
+/// trace span: inline in index order at `workers` <= 1, else on
+/// `workers` threads claiming indices from a shared counter. After a
+/// failure no further index is claimed, and the first exception (by
+/// completion order) is rethrown once every worker has joined.
+void parallel_for(int count, int workers,
+                  const std::function<void(int)>& body);
 
 }  // namespace nylon::runtime

@@ -19,6 +19,7 @@
 #include "core/peer_factory.h"
 #include "gossip/policies.h"
 #include "metrics/probe.h"
+#include "net/payload_arena.h"
 #include "obs/counters.h"
 #include "obs/msglog.h"
 #include "obs/timeline.h"
@@ -28,6 +29,7 @@
 #include "runtime/scenario.h"
 #include "runtime/table_printer.h"
 #include "util/contracts.h"
+#include "util/rng.h"
 #include "workload/engine.h"
 #include "workload/program.h"
 #include "workload/report.h"
@@ -1026,10 +1028,49 @@ bool all_checks_passed(const util::json& report) {
 
 namespace {
 
+/// One planned cell: a run of one row (see `spec_plan::runs`) with its
+/// overrides resolved. A simulated cell is one universe per seed; a
+/// static spec's cell is one world-free evaluation of its `params`.
+struct spec_cell {
+  experiment_config cfg;
+  std::vector<metrics::probe_selector> sels;  ///< the run's probe columns
+  param_map params;
+  util::json workload;  ///< '$' variables resolved; null without one
+};
+
+/// One table row of the plan: its axis positions and labels.
+struct spec_row {
+  std::vector<std::size_t> index;
+  std::vector<std::string> labels;
+};
+
+/// One table: a split value's, or the single table of an unsplit spec.
+struct spec_table {
+  std::string key;      ///< split table key ("" without a split)
+  std::string section;  ///< heading above the table ("" = none)
+  std::vector<spec_row> rows;
+};
+
+/// A spec walked split × rows × runs in output order. Every row has
+/// `runs.size()` cells, so the flat `cells` list follows the rows.
+struct spec_plan {
+  /// The runs of a row: one per probe column, or one shared run for
+  /// all of them in "probes" mode (one per column in a static spec).
+  /// Each lists the column indices it fills.
+  std::vector<std::vector<std::size_t>> runs;
+  std::vector<spec_table> tables;
+  std::vector<spec_cell> cells;
+};
+
+/// What one universe (a cell at one seed) hands back.
+struct universe_result {
+  std::vector<double> values;  ///< one per selector of the cell
+  util::json capture;          ///< null unless capturing
+};
+
 /// Per-run context shared by every cell of the study.
 struct spec_execution {
   const experiment_spec& spec;
-  const spec_options& opt;  ///< profile-effective options
   int warmup = 0;   ///< warm-up rounds before the traffic reset
   int measure = 0;  ///< measured rounds (rounds - warmup)
   bool capture_traj = false;    ///< per-seed trajectory capture
@@ -1048,16 +1089,14 @@ struct spec_execution {
     return capture_traj || capture_checks || capture_timeline;
   }
 
-  /// Simulates one cell at one seed — `workload_doc` (variables resolved)
-  /// when the spec has a workload, else plain shuffle periods — and
-  /// evaluates `sels` on the final state. The probe-visible window is the
-  /// measured span. When capturing, `capture` receives an object with the
-  /// per-seed "trajectory", "checks" and/or "timeline" members.
-  std::vector<double> run_once(experiment_config cfg, std::uint64_t seed,
-                               std::span<const metrics::probe_selector> sels,
-                               const param_map& params,
-                               const util::json* workload_doc,
+  /// Simulates `cell` at one seed — its workload when the spec has one,
+  /// else plain shuffle periods — and evaluates its selectors on the
+  /// final state. The probe-visible window is the measured span. When
+  /// capturing, `capture` receives an object with the per-seed
+  /// "trajectory", "checks" and/or "timeline" members.
+  std::vector<double> run_once(const spec_cell& cell, std::uint64_t seed,
                                util::json* capture) const {
+    experiment_config cfg = cell.cfg;
     cfg.seed = seed;
     const obs::trace_span cell_span("cell");
     scenario world(cfg);
@@ -1094,7 +1133,7 @@ struct spec_execution {
               if (!tick_ctx.has_value()) {
                 oracle.emplace(world.oracle());
                 tick_ctx.emplace(world, *oracle, t - reset_at);
-                tick_ctx->params = params;
+                tick_ctx->params = cell.params;
               }
               values.push_back(metrics::eval_scalar(col.sel, *tick_ctx));
             }
@@ -1103,10 +1142,10 @@ struct spec_execution {
           });
     }
 
-    if (workload_doc != nullptr) {
+    if (spec.workload.has_value()) {
       const sim::sim_time period = cfg.gossip.shuffle_period;
       workload::program prog =
-          workload::program_from_json(*workload_doc, period);
+          workload::program_from_json(cell.workload, period);
       window = prog.total_duration();
       workload::engine_options eopt;
       if (spec.trajectory_sample_periods > 0) {
@@ -1133,10 +1172,10 @@ struct spec_execution {
     }
     const metrics::reachability_oracle oracle = world.oracle();
     metrics::probe_context ctx{world, oracle, window};
-    ctx.params = params;
+    ctx.params = cell.params;
     std::vector<double> out;
-    out.reserve(sels.size());
-    for (const metrics::probe_selector& sel : sels) {
+    out.reserve(cell.sels.size());
+    for (const metrics::probe_selector& sel : cell.sels) {
       const obs::trace_span span(sel.p->name);
       out.push_back(metrics::eval_scalar(sel, ctx));
     }
@@ -1161,24 +1200,6 @@ struct spec_execution {
       *capture = std::move(parts);
     }
     return out;
-  }
-
-  /// One multi-seed sweep of a cell; the per-seed captures stay null
-  /// unless capturing.
-  multi_seed_result sweep(const experiment_config& cfg,
-                          std::span<const metrics::probe_selector> sels,
-                          const param_map& params,
-                          const util::json* workload_doc) const {
-    run_options ropt{};
-    ropt.threads = opt.threads;
-    ropt.shards = cfg.shards;
-    return run_seeds_multi_captured(
-        opt.seeds, opt.seed, sels.size(),
-        [&](std::uint64_t seed, util::json& capture) {
-          return run_once(cfg, seed, sels, params, workload_doc,
-                          capturing() ? &capture : nullptr);
-        },
-        ropt);
   }
 };
 
@@ -1300,7 +1321,12 @@ void write_timeline_csv(const std::string& path,
   if (!file) {
     throw std::runtime_error("cannot write timeline CSV \"" + path + "\"");
   }
-  obs::timeline_recorder::write_csv_header(file, columns);
+  std::string header = "cell,seed,t_s";
+  for (const std::string& column : columns) {
+    header += ',';
+    header += column;
+  }
+  file << header << '\n';
   const auto append_double = [](std::string& line, const util::json& v) {
     char buf[32];
     std::snprintf(buf, sizeof buf, "%.10g",
@@ -1355,8 +1381,6 @@ util::json run_spec(const experiment_spec& spec, const spec_options& opt,
   spec_options eff = effective_options(spec, opt, &prof);
   if (spec.single_seed) eff.seeds = 1;
 
-  print_preamble(spec, eff, out);
-
   var_map builtins = builtin_vars(eff);
   if (prof != nullptr) {
     // Explicit flags beat profile values: an explicit --rounds keeps the
@@ -1392,7 +1416,7 @@ util::json run_spec(const experiment_spec& spec, const spec_options& opt,
     }
   }
 
-  spec_execution exec{spec, eff};
+  spec_execution exec{spec};
   if (spec.warmup == "half") {
     exec.warmup = eff.rounds / 2;
   } else if (!spec.warmup.empty()) {
@@ -1442,18 +1466,86 @@ util::json run_spec(const experiment_spec& spec, const spec_options& opt,
     report.add("transport", std::string(to_string(base.cfg.transport)));
   }
 
-  // The runs of a row: one multi-seed sweep per probe column, or one
-  // shared sweep for all of them in "probes" mode. A static cell is one
-  // world-free evaluation either way.
-  std::vector<std::vector<std::size_t>> runs;
+  // Plan: walk split × rows × runs once, in output order, resolving
+  // every cell's overrides, probe selectors and workload document.
+  spec_plan plan;
   for (std::size_t j = 0; j < spec.columns.size(); ++j) {
     if (spec.columns[j].k != spec_entry::kind::probe) continue;
-    if (runs.empty() || !spec.shared_run || spec.static_eval) {
-      runs.emplace_back();
+    if (plan.runs.empty() || !spec.shared_run || spec.static_eval) {
+      plan.runs.emplace_back();
     }
-    runs.back().push_back(j);
+    plan.runs.back().push_back(j);
+  }
+  const std::vector<std::string> split_tokens =
+      spec.split.has_value() ? spec.split->axis.values
+                             : std::vector<std::string>{std::string()};
+  for (const std::string& split_token : split_tokens) {
+    cell_settings split = base;
+    spec_table& table = plan.tables.emplace_back();
+    if (spec.split.has_value()) {
+      const std::string split_label =
+          split.apply(spec.split->axis.key, split_token);
+      table.key = subst_braces(spec.split->table_key, split_label);
+      if (!spec.split->section.empty()) {
+        table.section = subst_braces(spec.split->section, split_label);
+      }
+    }
+    for_each_row(spec.rows, [&](const std::vector<std::size_t>& index) {
+      cell_settings row = split;
+      spec_row& planned = table.rows.emplace_back();
+      planned.index = index;
+      for (std::size_t a = 0; a < spec.rows.size(); ++a) {
+        planned.labels.push_back(
+            row.apply(spec.rows[a].key, spec.rows[a].values[index[a]]));
+      }
+      for (const std::vector<std::size_t>& run : plan.runs) {
+        cell_settings cell = row;
+        for (const std::size_t j : run) {
+          for (const auto& [key, token] : spec.columns[j].set) {
+            (void)cell.apply(key, token);
+          }
+        }
+        spec_cell& planned_cell = plan.cells.emplace_back();
+        planned_cell.cfg = cell.cfg;
+        planned_cell.params = cell.params;
+        if (spec.static_eval) continue;
+        for (const std::size_t j : run) {
+          const spec_entry& col = spec.columns[j];
+          planned_cell.sels.push_back(
+              metrics::resolve_selector(col.probe, col.cls, col.stat));
+        }
+        if (spec.workload.has_value()) {
+          planned_cell.workload =
+              resolve_workload_vars(*spec.workload, cell.vars);
+        }
+      }
+    });
   }
 
+  // Run: every (cell, seed) universe on one pool, cell-major. Seed s of
+  // a cell is derive_seed(seed, s); each universe fills its own slot.
+  const auto seeds = static_cast<std::size_t>(eff.seeds);
+  std::vector<universe_result> results;
+  if (!spec.static_eval && !plan.cells.empty()) {
+    std::size_t shards = 0;
+    for (const spec_cell& cell : plan.cells) {
+      shards = std::max(shards, cell.cfg.shards);
+    }
+    const int tasks = static_cast<int>(plan.cells.size() * seeds);
+    results.resize(plan.cells.size() * seeds);
+    parallel_for(tasks, worker_budget(eff.threads, shards, tasks), [&](int i) {
+      const auto u = static_cast<std::size_t>(i);
+      universe_result& slot = results[u];
+      slot.values = exec.run_once(plan.cells[u / seeds],
+                                  util::derive_seed(eff.seed, u % seeds),
+                                  exec.capturing() ? &slot.capture : nullptr);
+      net::release_thread_payloads();
+    });
+  }
+
+  // Render: tables, cells, checks and series from the slots, in plan
+  // order; a static spec evaluates its cells here.
+  print_preamble(spec, eff, out);
   util::json checks_json = util::json::array();
   bool checks_passed = true;
   util::json trajectories = util::json::array();
@@ -1461,46 +1553,32 @@ util::json run_spec(const experiment_spec& spec, const spec_options& opt,
   util::json cells_json = util::json::array();
   bool msglog_dumped = false;
 
-  const std::vector<std::string> split_tokens =
-      spec.split.has_value() ? spec.split->axis.values
-                             : std::vector<std::string>{std::string()};
-  for (const std::string& split_token : split_tokens) {
-    cell_settings split = base;
-    std::string table_key;
-    if (spec.split.has_value()) {
-      const std::string split_label =
-          split.apply(spec.split->axis.key, split_token);
-      table_key = subst_braces(spec.split->table_key, split_label);
-      if (!spec.split->section.empty()) {
-        out << "\n" << subst_braces(spec.split->section, split_label) << "\n";
-      }
+  std::vector<std::string> headers;
+  for (const spec_axis& axis : spec.rows) {
+    headers.push_back(subst_views(axis.header, eff));
+  }
+  for (const spec_entry& col : spec.columns) {
+    headers.push_back(subst_views(col.header, eff));
+  }
+  std::size_t next_cell = 0;
+  for (const spec_table& planned_table : plan.tables) {
+    const std::string& table_key = planned_table.key;
+    if (!planned_table.section.empty()) {
+      out << "\n" << planned_table.section << "\n";
     }
+    text_table table(headers);
 
-    std::vector<std::string> headers;
-    for (const spec_axis& axis : spec.rows) {
-      headers.push_back(subst_views(axis.header, eff));
-    }
-    for (const spec_entry& col : spec.columns) {
-      headers.push_back(subst_views(col.header, eff));
-    }
-    text_table table(std::move(headers));
-
-    for_each_row(spec.rows, [&](const std::vector<std::size_t>& index) {
-      cell_settings row = split;
-      std::vector<std::string> row_labels;
-      for (std::size_t a = 0; a < spec.rows.size(); ++a) {
-        row_labels.push_back(
-            row.apply(spec.rows[a].key, spec.rows[a].values[index[a]]));
-      }
+    for (const spec_row& row : planned_table.rows) {
+      const std::vector<std::string>& row_labels = row.labels;
 
       /// Appends a {table?, row} entry to `sink` (check verdicts and
       /// per-seed series share the prefix).
       const auto row_entry = [&](util::json& sink) -> util::json& {
         util::json& entry = sink.push_back(util::json::object());
         if (!table_key.empty()) entry["table"] = table_key;
-        util::json row = util::json::array();
-        for (const std::string& label : row_labels) row.push_back(label);
-        entry["row"] = std::move(row);
+        util::json labels = util::json::array();
+        for (const std::string& label : row_labels) labels.push_back(label);
+        entry["row"] = std::move(labels);
         return entry;
       };
 
@@ -1513,7 +1591,7 @@ util::json run_spec(const experiment_spec& spec, const spec_options& opt,
         for (std::size_t a = 0; a < spec.rows.size(); ++a) {
           const spec_axis& axis = spec.rows[a];
           if (axis.cell_key.empty()) continue;
-          const std::string& token = axis.values[index[a]];
+          const std::string& token = axis.values[row.index[a]];
           entry[axis.cell_key] = var_value(var_numeric(axis.key, token));
         }
         if (!col.cell_key.empty()) {
@@ -1529,20 +1607,19 @@ util::json run_spec(const experiment_spec& spec, const spec_options& opt,
         entry[metric_key] = workload::to_json(agg);
       };
 
-      /// Records a run's per-seed captures: check verdicts, then the
+      /// Records a cell's per-seed captures: check verdicts, then the
       /// trajectory and timeline series. A failed check triggers a
       /// one-shot dump of the message flight recorder (when
       /// `nylon_exp --msglog` armed it) so the hop-by-hop forensics land
       /// next to the verdict.
-      const auto record_captures = [&](const std::vector<util::json>& per_seed,
+      const auto record_captures = [&](std::span<universe_result> per_seed,
                                        const std::string& column) {
-        const std::size_t seeds = per_seed.size();
         for (std::size_t c = 0; c < spec.checks.size(); ++c) {
           bool passed = true;
           std::string detail;
           util::json failed_seeds = util::json::array();
-          for (std::size_t s = 0; s < seeds; ++s) {
-            const util::json& verdict = per_seed[s].at("checks").at(c);
+          for (std::size_t s = 0; s < per_seed.size(); ++s) {
+            const util::json& verdict = per_seed[s].capture.at("checks").at(c);
             if (s == 0) detail = verdict.at("detail").as_string();
             if (!verdict.at("passed").as_bool()) {
               passed = false;
@@ -1566,8 +1643,8 @@ util::json run_spec(const experiment_spec& spec, const spec_options& opt,
         }
         const auto record_series = [&](util::json& sink, const char* part) {
           util::json series = util::json::array();
-          for (std::size_t s = 0; s < seeds; ++s) {
-            series.push_back(per_seed[s].at(part));
+          for (universe_result& r : per_seed) {
+            series.push_back(std::move(r.capture[part]));
           }
           util::json& entry = row_entry(sink);
           if (!column.empty()) entry["column"] = column;
@@ -1579,20 +1656,15 @@ util::json run_spec(const experiment_spec& spec, const spec_options& opt,
 
       std::vector<std::string> cells(spec.columns.size());
       std::vector<double> means(spec.columns.size(), 0.0);
-      for (const std::vector<std::size_t>& run : runs) {
-        cell_settings cell = row;
-        for (const std::size_t j : run) {
-          for (const auto& [key, token] : spec.columns[j].set) {
-            (void)cell.apply(key, token);
-          }
-        }
+      for (const std::vector<std::size_t>& run : plan.runs) {
+        const std::size_t c = next_cell++;
         if (spec.static_eval) {
           // Check cells render their check_result::cell and record a
           // verdict entry.
           const spec_entry& col = spec.columns[run.front()];
           const metrics::probe* p = metrics::find_probe(col.probe);
           const metrics::probe_value value =
-              p->run(metrics::probe_context{cell.params});
+              p->run(metrics::probe_context{plan.cells[c].params});
           if (value.kind != metrics::probe_kind::check) {
             cells[run.front()] = fmt(
                 metrics::extract_scalar(
@@ -1611,23 +1683,10 @@ util::json run_spec(const experiment_spec& spec, const spec_options& opt,
           continue;
         }
 
-        std::vector<metrics::probe_selector> sels;
-        for (const std::size_t j : run) {
-          const spec_entry& col = spec.columns[j];
-          sels.push_back(
-              metrics::resolve_selector(col.probe, col.cls, col.stat));
-        }
-        // The run's workload document, its '$' variables resolved.
-        const util::json workload_doc =
-            spec.workload.has_value()
-                ? resolve_workload_vars(*spec.workload, cell.vars)
-                : util::json();
-        const multi_seed_result result = exec.sweep(
-            cell.cfg, sels, cell.params,
-            spec.workload.has_value() ? &workload_doc : nullptr);
-        const std::vector<seed_aggregate>& aggs = result.aggregates;
+        const std::span<universe_result> per_seed(results.data() + c * seeds,
+                                                  seeds);
         if (exec.capturing()) {
-          record_captures(result.captures,
+          record_captures(per_seed,
                           spec.shared_run
                               ? std::string()
                               : subst_views(spec.columns[run.front()].header,
@@ -1635,8 +1694,13 @@ util::json run_spec(const experiment_spec& spec, const spec_options& opt,
         }
         for (std::size_t k = 0; k < run.size(); ++k) {
           const spec_entry& col = spec.columns[run[k]];
-          if (spec.cells) record_cell(col, aggs[k]);
-          means[run[k]] = aggs[k].stats.mean;
+          seed_aggregate agg;
+          for (const universe_result& r : per_seed) {
+            agg.values.push_back(r.values[k]);
+          }
+          agg.stats = util::summarize(agg.values);
+          if (spec.cells) record_cell(col, agg);
+          means[run[k]] = agg.stats.mean;
           cells[run[k]] = fmt(means[run[k]], col.precision);
         }
       }
@@ -1652,7 +1716,7 @@ util::json run_spec(const experiment_spec& spec, const spec_options& opt,
       }
       cells.insert(cells.begin(), row_labels.begin(), row_labels.end());
       table.add_row(std::move(cells));
-    });
+    }
 
     if (eff.csv) {
       table.print_csv(out);

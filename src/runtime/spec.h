@@ -4,8 +4,9 @@
 // mix, ...), which metrics::probe measurements to record, an optional
 // named workload::program, and how the result tables / BENCH_*.json
 // documents are laid out. One driver (bench/nylon_exp.cpp) executes any
-// spec via the multi-seed runner; specs are buildable programmatically or
-// loadable from JSON files (examples/specs/*.json). The shipped figure,
+// spec as one list of (cell, seed) universes on one worker pool
+// (runtime/runner.h); specs are buildable programmatically or loadable
+// from JSON files (examples/specs/*.json). The shipped figure,
 // ablation, §2.2 traversal and §5 correctness specs have their stdout and
 // JSON output digest-pinned by tests/integration/spec_equivalence_test.cpp.
 //
@@ -205,7 +206,7 @@ struct spec_options {
   std::size_t view_b = 15;  ///< resolves $view_b (paper: 27)
   bool csv = false;
   std::uint64_t seed = 1;
-  int threads = 0;          ///< seed-level parallelism (0 = all cores)
+  int threads = 0;          ///< universes run at once (0 = all cores)
   std::size_t shards = 0;   ///< per-universe shards (0 = serial engine)
   std::string json;         ///< write BENCH_*.json here ("" = off)
   std::string transport = "sim";  ///< sim | sim-frames | udp

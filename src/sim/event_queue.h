@@ -21,8 +21,8 @@
 // it fires; periodic tasks end by returning false (scheduler::every).
 //
 // Threading: a queue belongs to one universe (or one shard) and one
-// thread at a time; the parallel multi-seed runner gives each seed its own
-// scheduler.
+// thread at a time; a spec run's worker pool gives every (cell, seed)
+// universe its own scheduler.
 #pragma once
 
 #include <array>

@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "runtime/spec.h"
 #include "util/json.h"
@@ -117,23 +118,37 @@ TEST(spec_equivalence, sec5_correctness) {
                  "5592111881d81cd5");
 }
 
-/// The multi-seed parallel path must not change a single byte either.
+/// Running a spec's universes on one pool must not change a single byte
+/// either, for every spec shape: split tables in columns mode (fig2), a
+/// workload with "cells" (fig10), probes mode (fig3), single_seed rows
+/// with checks (sec5), trajectories plus a timeline (churn_recovery)
+/// and a static spec (table1).
 TEST(spec_equivalence, parallel_execution_is_byte_identical) {
-  const runtime::experiment_spec spec = runtime::load_spec_file(
-      std::string(NYLON_SOURCE_DIR) + "/examples/specs/fig3_stale.json");
-  runtime::spec_options opt;
-  opt.peers = 80;
-  opt.rounds = 10;
-  opt.seeds = 4;
-  opt.seed = 3;
-  opt.threads = 1;
-  std::ostringstream serial;
-  const util::json doc_serial = runtime::run_spec(spec, opt, serial);
-  opt.threads = 4;
-  std::ostringstream parallel;
-  const util::json doc_parallel = runtime::run_spec(spec, opt, parallel);
-  EXPECT_EQ(serial.str(), parallel.str());
-  EXPECT_EQ(doc_serial.dump_string(0), doc_parallel.dump_string(0));
+  for (const char* name : {"fig3_stale", "fig2_partition", "fig10_churn",
+                           "sec5_correctness", "churn_recovery",
+                           "table1_traversal"}) {
+    SCOPED_TRACE(name);
+    runtime::experiment_spec spec = runtime::load_spec_file(
+        std::string(NYLON_SOURCE_DIR) + "/examples/specs/" + name + ".json");
+    // obs.* timeline columns read process-wide counters, which concurrent
+    // universes share; every other column is per-universe.
+    std::erase_if(spec.timeline.probes, [](const std::string& column) {
+      return column.starts_with("obs.");
+    });
+    runtime::spec_options opt;
+    opt.peers = 60;
+    opt.rounds = 6;
+    opt.seeds = 3;
+    opt.seed = 3;
+    opt.threads = 1;
+    std::ostringstream serial;
+    const util::json doc_serial = runtime::run_spec(spec, opt, serial);
+    opt.threads = 4;
+    std::ostringstream parallel;
+    const util::json doc_parallel = runtime::run_spec(spec, opt, parallel);
+    EXPECT_EQ(serial.str(), parallel.str());
+    EXPECT_EQ(doc_serial.dump_string(0), doc_parallel.dump_string(0));
+  }
 }
 
 /// The ROADMAP latency-sensitivity study runs end-to-end and emits its

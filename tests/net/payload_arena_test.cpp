@@ -2,7 +2,7 @@
 // thread that allocated it; one released on another thread (the main
 // thread tearing down a sharded universe) returns to the system, so the
 // releasing thread's freelist does not grow with every universe a
-// process builds.
+// process builds. A thread can also hand its whole freelist back.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -43,6 +43,23 @@ TEST(payload_arena, foreign_blocks_return_to_the_system) {
   foreign = nullptr;
   EXPECT_EQ(recycled_blocks(), held);
   EXPECT_EQ(lists.live_bytes, live);
+}
+
+TEST(payload_arena, release_hands_recycled_blocks_back) {
+  // A spec worker releases between universes, so one universe's recycled
+  // blocks never stay pinned while the next one builds its world.
+  block a = make_payload<std::uint64_t>(3);
+  block b = make_payload<std::uint64_t>(4);
+  a = nullptr;
+  b = nullptr;
+  ASSERT_GE(recycled_blocks(), 2u);
+  const std::size_t live = arena_detail::local_freelists().live_bytes;
+  release_thread_payloads();
+  EXPECT_EQ(recycled_blocks(), 0u);
+  EXPECT_EQ(arena_detail::local_freelists().live_bytes, live);
+  // The arena keeps working afterwards.
+  block c = make_payload<std::uint64_t>(5);
+  EXPECT_EQ(*c, 5u);
 }
 
 }  // namespace

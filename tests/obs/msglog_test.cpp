@@ -140,5 +140,22 @@ TEST(obs_msglog, dump_names_the_drop_reason) {
   EXPECT_NE(text.find("(nat_filtered)"), std::string::npos);
 }
 
+TEST(obs_msglog, truncated_dump_points_at_the_full_recording) {
+  msglog_start(/*sample_one_in=*/1);
+  if (!msglog_enabled()) return;  // NYLON_OBS=0
+  msglog_record({0xF1, 1000, 1, 2, hop_kind::send, "PING", nullptr});
+  msglog_record({0xF3, 2000, 3, 4, hop_kind::send, "PONG", nullptr});
+  msglog_stop();
+  std::ostringstream out;
+  msglog_dump(out, /*limit=*/1);
+  const std::string text = out.str();
+  EXPECT_NE(text.find("PING"), std::string::npos);
+  EXPECT_EQ(text.find("PONG"), std::string::npos);
+  EXPECT_NE(text.find("# msglog: ... 1 more (--msglog-dump FILE writes the "
+                      "whole recording)\n"),
+            std::string::npos)
+      << text;
+}
+
 }  // namespace
 }  // namespace nylon::obs

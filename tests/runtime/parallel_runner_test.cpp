@@ -1,12 +1,15 @@
-// The parallel multi-seed executor must be invisible in the results:
-// bit-identical per-seed values and aggregates, any thread count.
+// The parallel-for must be invisible in the results: bit-identical
+// per-task slots on any worker count.
 #include "runtime/runner.h"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
+#include <functional>
 #include <stdexcept>
 #include <thread>
+#include <vector>
 
 #include "metrics/graph_analysis.h"
 #include "runtime/scenario.h"
@@ -15,7 +18,7 @@
 namespace nylon::runtime {
 namespace {
 
-// A real (small) simulation per seed: proves each worker gets a fully
+// A real (small) simulation per task: proves each worker gets a fully
 // independent scheduler + transport + rng universe.
 double sim_experiment(std::uint64_t seed) {
   experiment_config cfg;
@@ -31,115 +34,49 @@ double sim_experiment(std::uint64_t seed) {
       .stale_pct;
 }
 
+/// Runs `count` tasks on `workers` threads; task i runs `experiment` at
+/// seed derive_seed(base_seed, i) into slot i.
+std::vector<double> run_slots(
+    int count, int workers, std::uint64_t base_seed,
+    const std::function<double(std::uint64_t)>& experiment) {
+  std::vector<double> out(static_cast<std::size_t>(count));
+  parallel_for(count, workers, [&](int i) {
+    out[static_cast<std::size_t>(i)] = experiment(
+        util::derive_seed(base_seed, static_cast<std::uint64_t>(i)));
+  });
+  return out;
+}
+
 TEST(parallel_runner, bit_identical_to_serial) {
-  const int seeds = 12;
-  const seed_aggregate serial =
-      run_seeds(seeds, 1, sim_experiment, run_options{1});
-  for (const int threads : {2, 4, 8}) {
-    const seed_aggregate parallel =
-        run_seeds(seeds, 1, sim_experiment, run_options{threads});
-    ASSERT_EQ(serial.values.size(), parallel.values.size());
-    for (int i = 0; i < seeds; ++i) {
-      EXPECT_EQ(serial.values[i], parallel.values[i])
-          << "seed index " << i << " with " << threads << " threads";
-    }
-    EXPECT_EQ(serial.stats.mean, parallel.stats.mean);
-    EXPECT_EQ(serial.stats.stddev, parallel.stats.stddev);
-    EXPECT_EQ(serial.stats.median, parallel.stats.median);
+  const std::vector<double> serial = run_slots(12, 1, 1, sim_experiment);
+  for (const int workers : {2, 4, 8}) {
+    EXPECT_EQ(serial, run_slots(12, workers, 1, sim_experiment))
+        << workers << " workers";
   }
-}
-
-TEST(parallel_runner, multi_metric_bit_identical_to_serial) {
-  const auto experiment = [](std::uint64_t seed) {
-    experiment_config cfg;
-    cfg.peer_count = 50;
-    cfg.natted_fraction = 0.5;
-    cfg.protocol = core::protocol_kind::nylon;
-    cfg.gossip.view_size = 8;
-    cfg.seed = seed;
-    scenario world(cfg);
-    world.run_periods(8);
-    const auto oracle = world.oracle();
-    const auto views =
-        metrics::measure_views(world.transport(), world.peers(), oracle);
-    const auto clusters =
-        metrics::measure_clusters(world.transport(), world.peers(), oracle);
-    return std::vector<double>{views.stale_pct,
-                               clusters.biggest_cluster_pct};
-  };
-  const auto serial = run_seeds_multi(10, 5, 2, experiment, run_options{1});
-  const auto parallel = run_seeds_multi(10, 5, 2, experiment, run_options{4});
-  ASSERT_EQ(serial.size(), 2u);
-  for (std::size_t m = 0; m < 2; ++m) {
-    EXPECT_EQ(serial[m].values, parallel[m].values);
-    EXPECT_EQ(serial[m].stats.mean, parallel[m].stats.mean);
-  }
-}
-
-TEST(parallel_runner, captured_variant_bit_identical_and_in_seed_order) {
-  // The capture channel must behave exactly like the plain multi-metric
-  // runner, with per-seed JSON stored by seed index on any thread count.
-  const auto experiment = [](std::uint64_t seed, util::json& capture) {
-    capture = util::json::object();
-    capture["seed"] = seed;
-    return std::vector<double>{static_cast<double>(seed),
-                               static_cast<double>(seed % 7)};
-  };
-  const multi_seed_result serial =
-      run_seeds_multi_captured(12, 9, 2, experiment, run_options{1});
-  const multi_seed_result parallel =
-      run_seeds_multi_captured(12, 9, 2, experiment, run_options{4});
-  ASSERT_EQ(serial.aggregates.size(), 2u);
-  ASSERT_EQ(serial.captures.size(), 12u);
-  for (std::size_t m = 0; m < 2; ++m) {
-    EXPECT_EQ(serial.aggregates[m].values, parallel.aggregates[m].values);
-  }
-  for (int i = 0; i < 12; ++i) {
-    const std::uint64_t expected =
-        util::derive_seed(9, static_cast<std::uint64_t>(i));
-    const auto at = static_cast<std::size_t>(i);
-    EXPECT_EQ(serial.captures[at].at("seed").as_int(),
-              static_cast<std::int64_t>(expected));
-    EXPECT_EQ(serial.captures[at].dump_string(0),
-              parallel.captures[at].dump_string(0));
-    EXPECT_EQ(serial.aggregates[0].values[at],
-              static_cast<double>(expected));
-  }
-}
-
-TEST(parallel_runner, captured_variant_leaves_capture_null_when_unused) {
-  const auto experiment = [](std::uint64_t seed, util::json&) {
-    return std::vector<double>{static_cast<double>(seed)};
-  };
-  const multi_seed_result result =
-      run_seeds_multi_captured(3, 1, 1, experiment, run_options{1});
-  for (const util::json& c : result.captures) EXPECT_TRUE(c.is_null());
 }
 
 TEST(parallel_runner, values_stay_in_seed_order) {
-  // The experiment returns its own seed, so results index == stream id.
-  const auto experiment = [](std::uint64_t seed) {
-    return static_cast<double>(seed);
-  };
-  const seed_aggregate agg = run_seeds(16, 3, experiment, run_options{8});
+  // The experiment returns its own seed, so slot index == stream id.
+  const std::vector<double> values = run_slots(
+      16, 8, 3, [](std::uint64_t seed) { return static_cast<double>(seed); });
   for (int i = 0; i < 16; ++i) {
-    EXPECT_EQ(agg.values[static_cast<std::size_t>(i)],
+    EXPECT_EQ(values[static_cast<std::size_t>(i)],
               static_cast<double>(
                   util::derive_seed(3, static_cast<std::uint64_t>(i))));
   }
 }
 
 TEST(parallel_runner, worker_exception_propagates) {
-  const auto experiment = [](std::uint64_t seed) -> double {
-    if (seed == util::derive_seed(1, 5)) {
-      throw std::runtime_error("seed 5 exploded");
-    }
-    return 0.0;
+  std::atomic<int> ran{0};
+  const auto body = [&](int i) {
+    ran.fetch_add(1);
+    if (i == 5) throw std::runtime_error("task 5 exploded");
   };
-  EXPECT_THROW(run_seeds(8, 1, experiment, run_options{4}),
-               std::runtime_error);
-  EXPECT_THROW(run_seeds(8, 1, experiment, run_options{1}),
-               std::runtime_error);
+  EXPECT_THROW(parallel_for(8, 4, body), std::runtime_error);
+  // Inline, nothing after the failing task is claimed.
+  ran = 0;
+  EXPECT_THROW(parallel_for(8, 1, body), std::runtime_error);
+  EXPECT_EQ(ran.load(), 6);
 }
 
 TEST(parallel_runner, multicore_speedup) {
@@ -148,12 +85,13 @@ TEST(parallel_runner, multicore_speedup) {
   }
   const int seeds = 8;
   const auto t0 = std::chrono::steady_clock::now();
-  const auto serial = run_seeds(seeds, 2, sim_experiment, run_options{1});
+  const auto serial = run_slots(seeds, 1, 2, sim_experiment);
   const auto t1 = std::chrono::steady_clock::now();
-  const auto parallel = run_seeds(seeds, 2, sim_experiment, run_options{0});
+  const auto parallel =
+      run_slots(seeds, worker_budget(0, 0, seeds), 2, sim_experiment);
   const auto t2 = std::chrono::steady_clock::now();
-  EXPECT_EQ(serial.values, parallel.values);
-  // Lenient bound (thread startup, small per-seed work): parallel must
+  EXPECT_EQ(serial, parallel);
+  // Lenient bound (thread startup, small per-task work): parallel must
   // at least not be slower than serial by more than 10%.
   const double serial_ms =
       std::chrono::duration<double, std::milli>(t1 - t0).count();
@@ -163,46 +101,39 @@ TEST(parallel_runner, multicore_speedup) {
       << "serial " << serial_ms << " ms vs parallel " << parallel_ms << " ms";
 }
 
-TEST(parallel_runner, resolve_threads_clamps) {
-  EXPECT_EQ(resolve_threads(run_options{1}, 30), 1);
-  EXPECT_EQ(resolve_threads(run_options{64}, 30), 30);  // never > seeds
-  EXPECT_GE(resolve_threads(run_options{0}, 30), 1);    // auto >= 1
+TEST(parallel_runner, worker_budget_clamps) {
+  EXPECT_EQ(worker_budget(1, 0, 30), 1);
+  EXPECT_EQ(worker_budget(64, 0, 30), 30);  // never > tasks
+  EXPECT_GE(worker_budget(0, 0, 30), 1);    // all cores, >= 1
 }
 
-TEST(parallel_runner, resolve_threads_budgets_sharded_seeds) {
-  // Each sharded seed spawns its own `shards` workers; the concurrent
-  // seed count shrinks so seeds × shards stays within the budget.
-  EXPECT_EQ(resolve_threads(run_options{8, 4}, 30), 2);   // 2 × 4 = 8
-  EXPECT_EQ(resolve_threads(run_options{8, 2}, 30), 4);   // 4 × 2 = 8
-  EXPECT_EQ(resolve_threads(run_options{8, 3}, 30), 2);   // floor(8/3)
-  EXPECT_EQ(resolve_threads(run_options{4, 8}, 30), 1);   // over budget: 1
-  EXPECT_EQ(resolve_threads(run_options{1, 4}, 30), 1);   // serial seeds
-  EXPECT_EQ(resolve_threads(run_options{8, 0}, 30), 8);   // serial engine
-  EXPECT_EQ(resolve_threads(run_options{8, 1}, 30), 8);   // 1-shard = 1 thread
-  EXPECT_EQ(resolve_threads(run_options{8, 4}, 1), 1);    // still <= seeds
+TEST(parallel_runner, worker_budget_budgets_sharded_seeds) {
+  // Each sharded universe spawns its own `shards` workers; the
+  // concurrent universe count shrinks so universes × shards stays
+  // within the budget.
+  EXPECT_EQ(worker_budget(8, 4, 30), 2);  // 2 × 4 = 8
+  EXPECT_EQ(worker_budget(8, 2, 30), 4);  // 4 × 2 = 8
+  EXPECT_EQ(worker_budget(8, 3, 30), 2);  // floor(8/3)
+  EXPECT_EQ(worker_budget(4, 8, 30), 1);  // over budget: 1
+  EXPECT_EQ(worker_budget(1, 4, 30), 1);  // serial universes
+  EXPECT_EQ(worker_budget(8, 0, 30), 8);  // serial engine
+  EXPECT_EQ(worker_budget(8, 1, 30), 8);  // 1-shard = 1 thread
+  EXPECT_EQ(worker_budget(8, 4, 1), 1);   // still <= tasks
 }
 
 TEST(parallel_runner, sharded_seed_budget_is_bit_identical_to_serial) {
-  // The budget only throttles concurrency: a sharded multi-seed sweep
-  // under a tight thread budget matches the fully serial result.
+  // The budget only throttles concurrency: a sharded task list under a
+  // tight thread budget matches the fully serial result.
   const auto experiment = [](std::uint64_t seed) {
     return static_cast<double>(seed % 1009) + 0.25;
   };
-  run_options serial;
-  serial.threads = 1;
-  const seed_aggregate a = run_seeds(12, 99, experiment, serial);
-  run_options budgeted;
-  budgeted.threads = 4;
-  budgeted.shards = 3;  // -> 1 concurrent seed
-  const seed_aggregate b = run_seeds(12, 99, experiment, budgeted);
-  run_options wide;
-  wide.threads = 8;
-  wide.shards = 2;  // -> 4 concurrent seeds
-  const seed_aggregate c = run_seeds(12, 99, experiment, wide);
-  EXPECT_EQ(a.values, b.values);
-  EXPECT_EQ(a.values, c.values);
-  EXPECT_EQ(a.stats.mean, b.stats.mean);
-  EXPECT_EQ(a.stats.mean, c.stats.mean);
+  const std::vector<double> a = run_slots(12, 1, 99, experiment);
+  const std::vector<double> b =
+      run_slots(12, worker_budget(4, 3, 12), 99, experiment);  // 1 worker
+  const std::vector<double> c =
+      run_slots(12, worker_budget(8, 2, 12), 99, experiment);  // 4 workers
+  EXPECT_EQ(a, b);
+  EXPECT_EQ(a, c);
 }
 
 }  // namespace

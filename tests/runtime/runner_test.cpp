@@ -2,45 +2,40 @@
 
 #include <gtest/gtest.h>
 
-#include <set>
+#include <vector>
 
 #include "util/contracts.h"
+#include "util/stats.h"
 
 namespace nylon::runtime {
 namespace {
 
 TEST(runner, runs_requested_seed_count) {
   int calls = 0;
-  const auto agg = run_seeds(5, 42, [&](std::uint64_t) {
-    ++calls;
-    return 1.0;
-  });
+  parallel_for(5, 1, [&](int) { ++calls; });
   EXPECT_EQ(calls, 5);
-  EXPECT_EQ(agg.values.size(), 5u);
-  EXPECT_DOUBLE_EQ(agg.stats.mean, 1.0);
-  EXPECT_DOUBLE_EQ(agg.stats.stddev, 0.0);
+  parallel_for(0, 1, [&](int) { ++calls; });
+  EXPECT_EQ(calls, 5);
 }
 
 TEST(runner, seeds_are_distinct_and_deterministic) {
-  std::vector<std::uint64_t> seen1;
-  (void)run_seeds(4, 7, [&](std::uint64_t seed) {
-    seen1.push_back(seed);
-    return 0.0;
-  });
-  std::vector<std::uint64_t> seen2;
-  (void)run_seeds(4, 7, [&](std::uint64_t seed) {
-    seen2.push_back(seed);
-    return 0.0;
-  });
+  // Inline, the indices arrive once each and in order, so a serial run
+  // visits the universes in the same order every time.
+  std::vector<int> seen1;
+  parallel_for(4, 1, [&](int i) { seen1.push_back(i); });
+  std::vector<int> seen2;
+  parallel_for(4, 1, [&](int i) { seen2.push_back(i); });
+  EXPECT_EQ(seen1, (std::vector<int>{0, 1, 2, 3}));
   EXPECT_EQ(seen1, seen2);
-  EXPECT_EQ(std::set<std::uint64_t>(seen1.begin(), seen1.end()).size(), 4u);
 }
 
 TEST(runner, aggregates_values_in_seed_order) {
-  int i = 0;
-  const auto agg = run_seeds(3, 1, [&](std::uint64_t) {
-    return static_cast<double>(i++);
+  seed_aggregate agg;
+  agg.values.resize(3);
+  parallel_for(3, 1, [&](int i) {
+    agg.values[static_cast<std::size_t>(i)] = static_cast<double>(i);
   });
+  agg.stats = util::summarize(agg.values);
   EXPECT_EQ(agg.values, (std::vector<double>{0.0, 1.0, 2.0}));
   EXPECT_DOUBLE_EQ(agg.stats.mean, 1.0);
   EXPECT_EQ(agg.stats.min, 0.0);
@@ -48,25 +43,9 @@ TEST(runner, aggregates_values_in_seed_order) {
 }
 
 TEST(runner, rejects_nonpositive_seed_count) {
-  EXPECT_THROW(run_seeds(0, 1, [](std::uint64_t) { return 0.0; }),
-               nylon::contract_error);
-}
-
-TEST(runner, multi_metric_aggregation) {
-  const auto aggs = run_seeds_multi(3, 9, 2, [](std::uint64_t) {
-    return std::vector<double>{1.0, 10.0};
-  });
-  ASSERT_EQ(aggs.size(), 2u);
-  EXPECT_DOUBLE_EQ(aggs[0].stats.mean, 1.0);
-  EXPECT_DOUBLE_EQ(aggs[1].stats.mean, 10.0);
-  EXPECT_EQ(aggs[0].values.size(), 3u);
-}
-
-TEST(runner, multi_rejects_wrong_metric_count) {
-  EXPECT_THROW(run_seeds_multi(
-                   2, 1, 3,
-                   [](std::uint64_t) { return std::vector<double>{1.0}; }),
-               nylon::contract_error);
+  EXPECT_THROW(parallel_for(-1, 1, [](int) {}), nylon::contract_error);
+  EXPECT_THROW((void)worker_budget(4, 0, 0), nylon::contract_error);
+  EXPECT_THROW((void)worker_budget(-1, 0, 4), nylon::contract_error);
 }
 
 }  // namespace
