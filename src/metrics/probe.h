@@ -174,8 +174,7 @@ struct probe_selector {
 /// Resolves and *validates* a selector: unknown probes, a missing /
 /// superfluous class or stat, an unknown class key, or a quantile stat
 /// on a stream-only probe all throw nylon::contract_error with a
-/// message naming the fix. Shared by spec validation and execution so
-/// the two can never drift.
+/// message naming the fix.
 [[nodiscard]] probe_selector resolve_selector(std::string_view probe_name,
                                               std::string_view cls,
                                               std::string_view stat);

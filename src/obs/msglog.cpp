@@ -99,8 +99,17 @@ msg_ring& local_msg_ring() {
   return x;
 }
 
-/// All live hops across all rings, sorted by (time, ring seq) — the
-/// lifecycle order within a message.
+/// Sorts hops by (time, ring seq) — the lifecycle order within a
+/// message.
+void sort_by_time(std::vector<stamped_hop>& hops) {
+  std::sort(hops.begin(), hops.end(),
+            [](const stamped_hop& a, const stamped_hop& b) {
+              if (a.rec.at != b.rec.at) return a.rec.at < b.rec.at;
+              return a.seq < b.seq;
+            });
+}
+
+/// All live hops across all rings, in time order.
 [[nodiscard]] std::vector<stamped_hop> collect_hops() {
   msg_recorder& r = mrec();
   const std::lock_guard<std::mutex> lock(r.mutex);
@@ -110,11 +119,7 @@ msg_ring& local_msg_ring() {
       hops.push_back(ring->buf[(ring->head + i) % ring->buf.size()]);
     }
   }
-  std::sort(hops.begin(), hops.end(),
-            [](const stamped_hop& a, const stamped_hop& b) {
-              if (a.rec.at != b.rec.at) return a.rec.at < b.rec.at;
-              return a.seq < b.seq;
-            });
+  sort_by_time(hops);
   return hops;
 }
 
@@ -134,6 +139,37 @@ msg_ring& local_msg_ring() {
 
 void format_tag(char (&buf)[24], std::uint64_t tag) {
   std::snprintf(buf, sizeof(buf), "0x%016" PRIx64, tag);
+}
+
+/// One line per sampled message of `hops` (time-ordered) under a header
+/// counting them plus the `overwritten` ones.
+void write_dump(std::ostream& out, const std::vector<stamped_hop>& hops,
+                std::size_t overwritten, std::size_t limit) {
+  const std::vector<std::vector<hop_record>> groups = group_by_tag(hops);
+  out << "# msglog: " << groups.size() << " sampled messages, "
+      << hops.size() << " hops held, " << overwritten
+      << " hops overwritten\n";
+  std::size_t emitted = 0;
+  for (const std::vector<hop_record>& group : groups) {
+    if (limit != 0 && emitted++ >= limit) {
+      out << "# msglog: ... " << (groups.size() - limit)
+          << " more (--msglog-dump FILE writes the whole recording)\n";
+      break;
+    }
+    char tag[24];
+    format_tag(tag, group.front().tag);
+    out << "# msg " << tag << ' ' << group.front().msg << ' '
+        << group.front().from << "->" << group.front().to << ':';
+    char cell[64];
+    for (const hop_record& h : group) {
+      std::snprintf(cell, sizeof(cell), " %s@%.3fs",
+                    std::string(to_string(h.kind)).c_str(),
+                    sim::to_seconds(h.at));
+      out << cell;
+      if (h.note != nullptr) out << '(' << h.note << ')';
+    }
+    out << '\n';
+  }
 }
 
 }  // namespace
@@ -224,33 +260,31 @@ util::json msglog_to_json() {
 }
 
 void msglog_dump(std::ostream& out, std::size_t limit) {
-  const std::vector<std::vector<hop_record>> groups =
-      group_by_tag(collect_hops());
-  const msglog_stats stats = msglog_statistics();
-  out << "# msglog: " << groups.size() << " sampled messages, "
-      << stats.recorded << " hops held, " << stats.dropped
-      << " hops overwritten\n";
-  std::size_t emitted = 0;
-  for (const std::vector<hop_record>& group : groups) {
-    if (limit != 0 && emitted++ >= limit) {
-      out << "# msglog: ... " << (groups.size() - limit)
-          << " more (--msglog-dump FILE writes the whole recording)\n";
-      break;
+  const std::vector<stamped_hop> hops = collect_hops();
+  write_dump(out, hops, msglog_statistics().dropped, limit);
+}
+
+std::uint64_t msglog_mark() noexcept {
+  const msg_ring* ring = tls_msg_ring;
+  return ring == nullptr ? 0 : ring->next_seq;
+}
+
+void msglog_dump_since(std::ostream& out, std::uint64_t mark,
+                       std::size_t limit) {
+  std::vector<stamped_hop> hops;
+  std::size_t recorded = 0;  // hops recorded since the mark, held or not
+  if (const msg_ring* ring = tls_msg_ring) {
+    const std::lock_guard<std::mutex> lock(mrec().mutex);
+    for (std::size_t i = 0; i < ring->count; ++i) {
+      const stamped_hop& h = ring->buf[(ring->head + i) % ring->buf.size()];
+      if (h.seq >= mark) hops.push_back(h);
     }
-    char tag[24];
-    format_tag(tag, group.front().tag);
-    out << "# msg " << tag << ' ' << group.front().msg << ' '
-        << group.front().from << "->" << group.front().to << ':';
-    char cell[64];
-    for (const hop_record& h : group) {
-      std::snprintf(cell, sizeof(cell), " %s@%.3fs",
-                    std::string(to_string(h.kind)).c_str(),
-                    sim::to_seconds(h.at));
-      out << cell;
-      if (h.note != nullptr) out << '(' << h.note << ')';
+    if (ring->next_seq > mark) {
+      recorded = static_cast<std::size_t>(ring->next_seq - mark);
     }
-    out << '\n';
   }
+  sort_by_time(hops);
+  write_dump(out, hops, recorded - hops.size(), limit);
 }
 
 }  // namespace nylon::obs
@@ -278,6 +312,12 @@ util::json msglog_to_json() {
 
 void msglog_dump(std::ostream& out, std::size_t) {
   out << "# msglog: telemetry compiled out (NYLON_OBS=0)\n";
+}
+
+std::uint64_t msglog_mark() noexcept { return 0; }
+
+void msglog_dump_since(std::ostream& out, std::uint64_t, std::size_t limit) {
+  msglog_dump(out, limit);
 }
 
 }  // namespace nylon::obs

@@ -92,9 +92,19 @@ void msglog_record(const hop_record& rec) noexcept;
 /// (time, station) — the forensics view for "name the drop_reason".
 [[nodiscard]] util::json msglog_to_json();
 
-/// Human-readable dump (one line per sampled message), for the
-/// automatic dump when a check probe fails. `limit` caps the message
-/// count (0 = all).
+/// Human-readable dump (one line per sampled message) of the whole
+/// recording. `limit` caps the message count (0 = all).
 void msglog_dump(std::ostream& out, std::size_t limit = 0);
+
+/// The calling thread's recording position: every hop the thread
+/// records after this call is at or past the mark.
+[[nodiscard]] std::uint64_t msglog_mark() noexcept;
+
+/// msglog_dump restricted to the hops the calling thread recorded since
+/// `mark`: one universe's forensics, for the automatic dump when a
+/// check probe fails, untouched by whatever ran on the thread before or
+/// on other threads. The header counts only those hops.
+void msglog_dump_since(std::ostream& out, std::uint64_t mark,
+                       std::size_t limit = 0);
 
 }  // namespace nylon::obs

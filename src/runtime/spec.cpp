@@ -14,6 +14,7 @@
 #include <optional>
 #include <ostream>
 #include <span>
+#include <sstream>
 #include <stdexcept>
 
 #include "core/peer_factory.h"
@@ -219,22 +220,12 @@ std::string apply_setting(experiment_config& cfg, const std::string& key,
     cfg.loss_rate = v;
     return token;
   }
-  if (key == "shards") {
-    cfg.shards = count_token(key, token, opt);
-    return token;
-  }
   if (key == "transport") {
     cfg.transport = choose<transport_kind>(
         key, token,
         {{"sim", transport_kind::sim},
          {"sim-frames", transport_kind::sim_frames},
          {"udp", transport_kind::udp}});
-    return token;
-  }
-  if (key == "udp_time_scale") {
-    const double v = numeric_token(key, token, opt);
-    if (v <= 0) bad("\"udp_time_scale\" must be positive");
-    cfg.udp_time_scale = v;
     return token;
   }
   bad("unknown config key \"" + key + "\"");
@@ -325,8 +316,7 @@ var_map builtin_vars(const spec_options& opt) {
 
 /// Parses a "name=$var" / "name=literal" report-param entry against the
 /// builtin variables; nullopt when `p` is a plain builtin param name
-/// (no '='). One parser serves validate() and run_spec() so the two can
-/// never drift. Throws on unknown variables or non-numeric literals.
+/// (no '='). Throws on unknown variables or non-numeric literals.
 std::optional<std::pair<std::string, util::json>> param_override(
     const std::string& p, const var_map& builtins) {
   const std::size_t eq = p.find('=');
@@ -648,8 +638,7 @@ struct timeline_column {
 
 /// Resolves a timeline column token — "name", "name.<class>",
 /// "name.<stat>" or "obs.<counter>" — rejecting unknown names and
-/// non-passive probes (shared by validate() and run_spec so the two
-/// can never drift).
+/// non-passive probes.
 timeline_column resolve_timeline_column(const std::string& token) {
   timeline_column col;
   const std::size_t dot = token.find('.');
@@ -693,225 +682,8 @@ std::vector<std::string> default_timeline_columns() {
           "isolated_count", "drop_count.total"};
 }
 
+
 }  // namespace
-
-void experiment_spec::validate() const {
-  if (name.empty()) bad("\"name\" is required");
-  if (!preamble.empty() && !title.empty()) {
-    bad("\"preamble\" replaces the standard preamble; drop \"title\"");
-  }
-  if (rows.empty()) bad("at least one row axis is required");
-  if (columns.empty()) bad("at least one column is required");
-
-  // Dry-run every override against a scratch config with default driver
-  // options: catches unknown keys and malformed tokens up front.
-  // '$'-keys are workload variables — they bypass the config but their
-  // tokens must carry a numeric value, and they need a workload to
-  // substitute into. '%'-keys are probe parameters: any non-empty token.
-  const spec_options defaults;
-  experiment_config scratch;
-  const auto check_setting = [&](experiment_config& cfg,
-                                 const std::string& key,
-                                 const std::string& token) {
-    if (is_workload_var(key)) {
-      if (!workload.has_value()) {
-        bad("variable axis \"" + key + "\" requires a \"workload\"");
-      }
-      (void)var_numeric(key, token);
-      return;
-    }
-    if (is_param_key(key)) {
-      if (key.size() < 2) bad("probe parameter keys need a name after '%'");
-      if (token.empty()) {
-        bad("probe parameter \"" + key + "\" has an empty value");
-      }
-      return;
-    }
-    apply_setting(cfg, key, token, defaults);
-  };
-  for (const auto& [key, token] : base) {
-    check_setting(scratch, key, token);
-  }
-  if (split.has_value()) {
-    if (static_eval) bad("\"split\" is not supported in a static spec");
-    if (split->axis.values.empty()) bad("split axis needs values");
-    if (split->table_key.empty()) bad("split needs a \"table_key\"");
-    for (const std::string& token : split->axis.values) {
-      check_setting(scratch, split->axis.key, token);
-    }
-  }
-  for (const spec_axis& axis : rows) {
-    if (axis.values.empty()) bad("row axis \"" + axis.key + "\" needs values");
-    for (const std::string& token : axis.values) {
-      check_setting(scratch, axis.key, token);
-    }
-  }
-
-  // A probe reference is either a plain scalar-view selector (validated
-  // by metrics::resolve_selector, which owns the misuse messages) or a
-  // check probe, which renders verdict cells and is only legal in a
-  // static spec's columns or the "checks" list.
-  bool has_check_cells = !checks.empty();
-  for (std::size_t j = 0; j < columns.size(); ++j) {
-    const spec_entry& col = columns[j];
-    if (col.k == spec_entry::kind::ratio) {
-      if (static_eval) {
-        bad("ratio columns need seed aggregates; they cannot run in a "
-            "\"static\" spec");
-      }
-      const auto in_range = [&](int i) {
-        return i >= 0 && static_cast<std::size_t>(i) < j &&
-               columns[static_cast<std::size_t>(i)].k ==
-                   spec_entry::kind::probe;
-      };
-      if (!in_range(col.ratio_num) || !in_range(col.ratio_den)) {
-        bad("ratio column \"" + col.header +
-            "\" must reference earlier probe columns");
-      }
-    }
-    if (col.k != spec_entry::kind::probe) continue;
-    if (shared_run && !col.set.empty()) {
-      bad("column \"" + col.header +
-          "\" sets config, but \"probes\" share one run per row");
-    }
-    experiment_config cfg = scratch;
-    for (const auto& [key, token] : col.set) check_setting(cfg, key, token);
-    const metrics::probe* p = metrics::find_probe(col.probe);
-    if (p == nullptr) bad("unknown probe \"" + col.probe + "\"");
-    if (static_eval && p->needs_world) {
-      bad("probe \"" + col.probe +
-          "\" needs a simulated world; it cannot run in a \"static\" spec");
-    }
-    if (p->kind != metrics::probe_kind::check) {
-      (void)metrics::resolve_selector(col.probe, col.cls, col.stat);
-      continue;
-    }
-    if (!static_eval) {
-      bad("check probe \"" + col.probe +
-          "\" in a column needs a \"static\" spec or the \"checks\" list");
-    }
-    if (!col.cls.empty() || !col.stat.empty()) {
-      bad("check probe \"" + col.probe +
-          "\" takes neither \"class\" nor \"stat\"");
-    }
-    has_check_cells = true;
-  }
-
-  for (const spec_entry& c : checks) {
-    const metrics::probe* p = metrics::find_probe(c.probe);
-    if (p == nullptr) bad("unknown check probe \"" + c.probe + "\"");
-    if (p->kind != metrics::probe_kind::check) {
-      bad("\"checks\" entry \"" + c.probe + "\" is a " +
-          std::string(metrics::to_string(p->kind)) +
-          " probe, not a check probe");
-    }
-  }
-  if (!checks.empty()) {
-    if (static_eval) {
-      bad("a static spec carries its checks as columns; drop the "
-          "\"checks\" list");
-    }
-    if (!shared_run) bad("\"checks\" ride the shared run of \"probes\" mode");
-  }
-  if (verdict.has_value() && !has_check_cells) {
-    bad("\"verdict\" needs check probes (a \"checks\" list or check "
-        "columns in a static spec)");
-  }
-
-  if (static_eval) {
-    if (workload.has_value()) bad("a \"static\" spec cannot have a workload");
-    if (!warmup.empty()) bad("a \"static\" spec cannot have a warmup");
-    if (cells) bad("\"cells\" needs seed aggregates (non-static specs)");
-    if (single_seed) {
-      bad("\"single_seed\" is meaningless in a \"static\" spec");
-    }
-  }
-
-  if (!warmup.empty() && warmup != "half") {
-    (void)count_token("warmup", warmup, defaults);
-  }
-  // Report params must resolve WITHOUT a profile (profiles only override
-  // the *values* of builtin variables, never introduce report-param
-  // names): a spec that validates must also run profile-less.
-  const var_map default_builtins = builtin_vars(defaults);
-  for (std::size_t i = 0; i < profiles.size(); ++i) {
-    for (std::size_t j = i + 1; j < profiles.size(); ++j) {
-      if (profiles[i].first == profiles[j].first) {
-        bad("duplicate profile \"" + profiles[i].first + "\"");
-      }
-    }
-  }
-  for (const std::string& p : report_params) {
-    if (param_override(p, default_builtins).has_value()) continue;
-    if (p != "peers" && p != "seeds" && p != "rounds" && p != "seed" &&
-        p != "workload") {
-      bad("unknown report param \"" + p + "\"");
-    }
-  }
-  if (cells && shared_run) bad("\"cells\" requires \"columns\" mode");
-  if (cells) {
-    // Cell entries serialize cell_key'd axis values as numbers; reject
-    // non-numeric tokens here instead of after the first cell's full
-    // multi-seed simulation.
-    for (const spec_axis& axis : rows) {
-      if (axis.cell_key.empty()) continue;
-      for (const std::string& token : axis.values) {
-        (void)var_numeric(axis.key, token);
-      }
-    }
-    for (const spec_entry& col : columns) {
-      if (!col.cell_key.empty()) {
-        (void)var_numeric(col.cell_key, col.cell_token);
-      }
-    }
-  }
-  if (workload.has_value()) {
-    // Validates phases / sessions; the period only scales durations.
-    // Variables resolve against builtins plus each '$' axis's first
-    // value, so a parameterized program is structurally checked too.
-    var_map vars = builtin_vars(defaults);
-    const auto add_first_value = [&vars](const spec_axis& axis) {
-      if (is_workload_var(axis.key) && !axis.values.empty()) {
-        vars[axis.key.substr(1)] = axis.values.front();
-      }
-    };
-    if (split.has_value()) add_first_value(split->axis);
-    for (const spec_axis& axis : rows) add_first_value(axis);
-    // Column `set` entries can carry '$' variables too (a column sweep
-    // over a workload parameter); seed each one's first value so such
-    // specs validate.
-    for (const spec_entry& col : columns) {
-      for (const auto& [key, token] : col.set) {
-        if (is_workload_var(key)) vars.emplace(key.substr(1), token);
-      }
-    }
-    (void)workload::program_from_json(resolve_workload_vars(*workload, vars),
-                                      sim::seconds(5));
-    if (!warmup.empty()) {
-      bad("\"warmup\" has no effect with a \"workload\" (the program "
-          "defines the timeline; add a steady phase instead)");
-    }
-  } else if (trajectories) {
-    bad("\"trajectories\" requires a \"workload\"");
-  }
-  if (trajectory_sample_periods < 0) {
-    bad("\"trajectory_sample_periods\" must be >= 0");
-  }
-  if (timeline.enabled) {
-    if (static_eval) {
-      bad("a \"static\" spec has no sim time; drop \"timeline\"");
-    }
-    if (timeline.period_s <= 0) {
-      bad("\"timeline\" needs a positive \"period_s\"");
-    }
-    if (timeline.probes.empty()) {
-      bad("\"timeline\" needs a non-empty \"probes\" array");
-    }
-    for (const std::string& token : timeline.probes) {
-      (void)resolve_timeline_column(token);
-    }
-  }
-}
 
 experiment_spec spec_from_json(const util::json& doc) {
   ensure_keys(doc,
@@ -1033,175 +805,179 @@ namespace {
 /// static spec's cell is one world-free evaluation of its `params`.
 struct spec_cell {
   experiment_config cfg;
-  std::vector<metrics::probe_selector> sels;  ///< the run's probe columns
+  /// The run's probe columns, in column order (a static cell's one
+  /// column may select a check probe).
+  std::vector<metrics::probe_selector> sels;
   param_map params;
-  util::json workload;  ///< '$' variables resolved; null without one
-};
-
-/// One table row of the plan: its axis positions and labels.
-struct spec_row {
-  std::vector<std::size_t> index;
-  std::vector<std::string> labels;
+  /// The spec's workload with '$' variables resolved (unset without one).
+  std::optional<workload::program> program;
+  /// `cells` mode: the row axes' and the column's numeric cell_key
+  /// values, in entry order (null otherwise).
+  util::json cell_keys;
 };
 
 /// One table: a split value's, or the single table of an unsplit spec.
 struct spec_table {
   std::string key;      ///< split table key ("" without a split)
   std::string section;  ///< heading above the table ("" = none)
-  std::vector<spec_row> rows;
+  std::vector<std::vector<std::string>> rows;  ///< each row's labels
 };
 
-/// A spec walked split × rows × runs in output order. Every row has
-/// `runs.size()` cells, so the flat `cells` list follows the rows.
+/// A spec resolved at one set of run options: everything the run and
+/// render steps read. Cells follow split × rows × runs in output order;
+/// every row has `runs.size()` cells.
 struct spec_plan {
+  spec_options eff;  ///< the run options with the profile applied
+  int warmup = 0;    ///< warm-up rounds before the traffic reset
+  int measure = 0;   ///< measured rounds (rounds - warmup)
+  /// The JSON report's "params", in spec order.
+  std::vector<std::pair<std::string, util::json>> report_params;
+  transport_kind transport = transport_kind::sim;  ///< the base config's
+  bool capture_traj = false;  ///< per-seed trajectory capture
+  /// Resolved "checks"-list probes, in list order.
+  std::vector<const metrics::probe*> check_probes;
+  /// Sim-time health timeline (the spec's block, possibly force-enabled
+  /// or re-period'd by the run options); column tokens in report
+  /// order.
+  bool timeline = false;
+  double timeline_period_s = 0.0;
+  std::vector<std::string> timeline_names;
+  std::vector<timeline_column> timeline_cols;
   /// The runs of a row: one per probe column, or one shared run for
   /// all of them in "probes" mode (one per column in a static spec).
   /// Each lists the column indices it fills.
   std::vector<std::vector<std::size_t>> runs;
   std::vector<spec_table> tables;
   std::vector<spec_cell> cells;
+
+  [[nodiscard]] bool capturing() const noexcept {
+    return capture_traj || !check_probes.empty() || timeline;
+  }
 };
 
 /// What one universe (a cell at one seed) hands back.
 struct universe_result {
   std::vector<double> values;  ///< one per selector of the cell
   util::json capture;          ///< null unless capturing
+  /// The flight-recorder dump of this universe's own hops when one of
+  /// its checks failed while `nylon_exp --msglog` armed the recorder.
+  std::string msglog;
 };
 
-/// Per-run context shared by every cell of the study.
-struct spec_execution {
-  const experiment_spec& spec;
-  int warmup = 0;   ///< warm-up rounds before the traffic reset
-  int measure = 0;  ///< measured rounds (rounds - warmup)
-  bool capture_traj = false;    ///< per-seed trajectory capture
-  bool capture_checks = false;  ///< per-seed check evaluation
-  /// Resolved "checks"-list probes, in list order.
-  std::vector<const metrics::probe*> check_probes = {};
-  /// Sim-time health timeline (the spec's block, possibly force-enabled
-  /// or re-period'd by the driver flags).
-  bool capture_timeline = false;
-  double timeline_period_s = 0.0;
-  /// Column tokens, report order.
-  std::vector<std::string> timeline_names = {};
-  std::vector<timeline_column> timeline_cols = {};
+/// Simulates `cell` at one seed — its workload program when the spec has
+/// one, else plain shuffle periods — and evaluates its selectors on the
+/// final state into `slot`. The probe-visible window is the measured
+/// span. When capturing, `slot.capture` receives an object with the
+/// per-seed "trajectory", "checks" and/or "timeline" members.
+void run_universe(const experiment_spec& spec, const spec_plan& plan,
+                  const spec_cell& cell, std::uint64_t seed,
+                  universe_result& slot) {
+  const std::uint64_t msglog_mark = obs::msglog_mark();
+  experiment_config cfg = cell.cfg;
+  cfg.seed = seed;
+  const obs::trace_span cell_span("cell");
+  scenario world(cfg);
+  sim::sim_time window = 0;
+  util::json trajectory;
 
-  [[nodiscard]] bool capturing() const noexcept {
-    return capture_traj || capture_checks || capture_timeline;
-  }
-
-  /// Simulates `cell` at one seed — its workload when the spec has one,
-  /// else plain shuffle periods — and evaluates its selectors on the
-  /// final state. The probe-visible window is the measured span. When
-  /// capturing, `capture` receives an object with the per-seed
-  /// "trajectory", "checks" and/or "timeline" members.
-  std::vector<double> run_once(const spec_cell& cell, std::uint64_t seed,
-                               util::json* capture) const {
-    experiment_config cfg = cell.cfg;
-    cfg.seed = seed;
-    const obs::trace_span cell_span("cell");
-    scenario world(cfg);
-    sim::sim_time window = 0;
-    util::json trajectory;
-
-    // The timeline sampler: ticks interleave into run_until without
-    // creating scheduler events (digest-neutral; scenario.h), evaluate
-    // the passive columns against the live world and mirror them as
-    // Perfetto counter tracks when a trace is recording. `reset_at`
-    // keeps rate probes (bytes/s) honest across the warmup traffic
-    // reset.
-    std::optional<obs::timeline_recorder> recorder;
-    std::vector<const char*> tracks;
-    sim::sim_time reset_at = 0;
-    if (capture_timeline) {
-      recorder.emplace(timeline_period_s, timeline_names);
-      tracks = obs::counter_track_names(timeline_names);
-      const auto period_ms =
-          static_cast<sim::sim_time>(std::llround(timeline_period_s * 1000.0));
-      world.set_sampler(
-          scenario::sampler_timeline, period_ms, [&](sim::sim_time t) {
-            std::vector<double> values;
-            values.reserve(timeline_cols.size());
-            std::optional<metrics::reachability_oracle> oracle;
-            std::optional<metrics::probe_context> tick_ctx;
-            std::optional<obs::counter_snapshot> snap;
-            for (const timeline_column& col : timeline_cols) {
-              if (col.sel.p == nullptr) {
-                if (!snap.has_value()) snap = obs::read_counters();
-                values.push_back(static_cast<double>((*snap)[col.counter]));
-                continue;
-              }
-              if (!tick_ctx.has_value()) {
-                oracle.emplace(world.oracle());
-                tick_ctx.emplace(world, *oracle, t - reset_at);
-                tick_ctx->params = cell.params;
-              }
-              values.push_back(metrics::eval_scalar(col.sel, *tick_ctx));
+  // The timeline sampler: ticks interleave into run_until without
+  // creating scheduler events (digest-neutral; scenario.h), evaluate
+  // the passive columns against the live world and mirror them as
+  // Perfetto counter tracks when a trace is recording. `reset_at`
+  // keeps rate probes (bytes/s) honest across the warmup traffic
+  // reset.
+  std::optional<obs::timeline_recorder> recorder;
+  std::vector<const char*> tracks;
+  sim::sim_time reset_at = 0;
+  if (plan.timeline) {
+    recorder.emplace(plan.timeline_period_s, plan.timeline_names);
+    tracks = obs::counter_track_names(plan.timeline_names);
+    const auto period_ms = static_cast<sim::sim_time>(
+        std::llround(plan.timeline_period_s * 1000.0));
+    world.set_sampler(
+        scenario::sampler_timeline, period_ms, [&](sim::sim_time t) {
+          std::vector<double> values;
+          values.reserve(plan.timeline_cols.size());
+          std::optional<metrics::reachability_oracle> oracle;
+          std::optional<metrics::probe_context> tick_ctx;
+          std::optional<obs::counter_snapshot> snap;
+          for (const timeline_column& col : plan.timeline_cols) {
+            if (col.sel.p == nullptr) {
+              if (!snap.has_value()) snap = obs::read_counters();
+              values.push_back(static_cast<double>((*snap)[col.counter]));
+              continue;
             }
-            obs::record_counter_samples(tracks, values);
-            recorder->append(sim::to_seconds(t), std::move(values));
-          });
-    }
-
-    if (spec.workload.has_value()) {
-      const sim::sim_time period = cfg.gossip.shuffle_period;
-      workload::program prog =
-          workload::program_from_json(cell.workload, period);
-      window = prog.total_duration();
-      workload::engine_options eopt;
-      if (spec.trajectory_sample_periods > 0) {
-        eopt.sample_interval = spec.trajectory_sample_periods * period;
-      }
-      workload::engine eng(world, std::move(prog), eopt);
-      eng.run();
-      if (capture != nullptr && capture_traj) {
-        trajectory = workload::to_json(eng.trajectory());
-      }
-    } else {
-      // A plain run_periods(rounds) without warm-up, or Fig. 7's warm-up +
-      // traffic reset + steady-state window.
-      if (warmup > 0) {
-        world.run_periods(warmup);
-        world.transport().reset_traffic();
-        reset_at = world.scheduler().now();
-      }
-      world.run_periods(measure);
-      window = measure * cfg.gossip.shuffle_period;
-    }
-    if (recorder.has_value()) {
-      world.clear_sampler(scenario::sampler_timeline);
-    }
-    const metrics::reachability_oracle oracle = world.oracle();
-    metrics::probe_context ctx{world, oracle, window};
-    ctx.params = cell.params;
-    std::vector<double> out;
-    out.reserve(cell.sels.size());
-    for (const metrics::probe_selector& sel : cell.sels) {
-      const obs::trace_span span(sel.p->name);
-      out.push_back(metrics::eval_scalar(sel, ctx));
-    }
-    if (capture != nullptr) {
-      util::json check_results;
-      if (capture_checks) {
-        // Checks run after the probe columns so adding a check never
-        // moves a battery-building probe's rng position.
-        check_results = util::json::array();
-        for (const metrics::probe* p : check_probes) {
-          const obs::trace_span span(p->name);
-          const metrics::probe_value v = p->run(ctx);
-          util::json& entry = check_results.push_back(util::json::object());
-          entry["passed"] = v.check.passed;
-          entry["detail"] = v.check.detail;
-        }
-      }
-      util::json parts = util::json::object();
-      if (capture_traj) parts["trajectory"] = std::move(trajectory);
-      if (capture_checks) parts["checks"] = std::move(check_results);
-      if (capture_timeline) parts["timeline"] = recorder->samples_json();
-      *capture = std::move(parts);
-    }
-    return out;
+            if (!tick_ctx.has_value()) {
+              oracle.emplace(world.oracle());
+              tick_ctx.emplace(world, *oracle, t - reset_at);
+              tick_ctx->params = cell.params;
+            }
+            values.push_back(metrics::eval_scalar(col.sel, *tick_ctx));
+          }
+          obs::record_counter_samples(tracks, values);
+          recorder->append(sim::to_seconds(t), std::move(values));
+        });
   }
-};
+
+  if (cell.program.has_value()) {
+    window = cell.program->total_duration();
+    workload::engine_options eopt;
+    if (spec.trajectory_sample_periods > 0) {
+      eopt.sample_interval =
+          spec.trajectory_sample_periods * cfg.gossip.shuffle_period;
+    }
+    workload::engine eng(world, *cell.program, eopt);
+    eng.run();
+    if (plan.capture_traj) trajectory = workload::to_json(eng.trajectory());
+  } else {
+    // A plain run_periods(rounds) without warm-up, or Fig. 7's warm-up +
+    // traffic reset + steady-state window.
+    if (plan.warmup > 0) {
+      world.run_periods(plan.warmup);
+      world.transport().reset_traffic();
+      reset_at = world.scheduler().now();
+    }
+    world.run_periods(plan.measure);
+    window = plan.measure * cfg.gossip.shuffle_period;
+  }
+  if (recorder.has_value()) {
+    world.clear_sampler(scenario::sampler_timeline);
+  }
+  const metrics::reachability_oracle oracle = world.oracle();
+  metrics::probe_context ctx{world, oracle, window};
+  ctx.params = cell.params;
+  slot.values.reserve(cell.sels.size());
+  for (const metrics::probe_selector& sel : cell.sels) {
+    const obs::trace_span span(sel.p->name);
+    slot.values.push_back(metrics::eval_scalar(sel, ctx));
+  }
+  if (!plan.capturing()) return;
+  util::json parts = util::json::object();
+  if (plan.capture_traj) parts["trajectory"] = std::move(trajectory);
+  if (!plan.check_probes.empty()) {
+    // Checks run after the probe columns so adding a check never moves a
+    // battery-building probe's rng position.
+    util::json& results = parts["checks"] = util::json::array();
+    bool failed = false;
+    for (const metrics::probe* p : plan.check_probes) {
+      const obs::trace_span span(p->name);
+      const metrics::probe_value v = p->run(ctx);
+      util::json& entry = results.push_back(util::json::object());
+      entry["passed"] = v.check.passed;
+      entry["detail"] = v.check.detail;
+      failed = failed || !v.check.passed;
+    }
+    // Taken here, on the thread that ran this universe, so no later
+    // universe's hops can overwrite or join the failing one's.
+    if (failed && obs::msglog_enabled()) {
+      std::ostringstream dump;
+      obs::msglog_dump_since(dump, msglog_mark, 40);
+      slot.msglog = dump.str();
+    }
+  }
+  if (plan.timeline) parts["timeline"] = recorder->samples_json();
+  slot.capture = std::move(parts);
+}
 
 /// The overrides accumulated down to one run: config keys land in `cfg`,
 /// '$'-keys become workload variables and '%'-keys probe parameters.
@@ -1210,14 +986,23 @@ struct cell_settings {
   var_map vars;
   param_map params;
   const spec_options& opt;  ///< resolves $view_a / $view_b
+  bool has_workload = false;
 
   /// Applies one override and returns its table label.
   std::string apply(const std::string& key, const std::string& token) {
     if (is_workload_var(key)) {
+      if (!has_workload) {
+        bad("variable axis \"" + key + "\" requires a \"workload\"");
+      }
+      (void)var_numeric(key, token);
       vars[key.substr(1)] = token;
       return token;
     }
     if (is_param_key(key)) {
+      if (key.size() < 2) bad("probe parameter keys need a name after '%'");
+      if (token.empty()) {
+        bad("probe parameter \"" + key + "\" has an empty value");
+      }
       params[key.substr(1)] = token;
       return token;
     }
@@ -1228,6 +1013,9 @@ struct cell_settings {
 /// Iterates the cartesian product of the row axes (last axis fastest).
 template <typename Fn>
 void for_each_row(const std::vector<spec_axis>& axes, Fn&& fn) {
+  for (const spec_axis& axis : axes) {
+    if (axis.values.empty()) bad("row axis \"" + axis.key + "\" needs values");
+  }
   std::vector<std::size_t> index(axes.size(), 0);
   for (;;) {
     fn(index);
@@ -1366,20 +1154,17 @@ void write_timeline_csv(const std::string& path,
   }
 }
 
-}  // namespace
-
-util::json run_spec(const experiment_spec& spec, const spec_options& opt,
-                    std::ostream& out) {
-  // Scale options arrive from the command line; a negative value would
-  // otherwise clamp into an empty run or wrap around as a size.
-  if (opt.peers < 2) bad("peers must be >= 2");
-  if (opt.seeds < 1) bad("seeds must be >= 1");
-  if (opt.rounds < 0) bad("rounds must be >= 0");
-  spec.validate();
-
+/// Resolves the spec at `opt`: the profile, report params, warm-up,
+/// checks and timeline, then every cell of split × rows × runs — its
+/// overrides, probe selectors, cell_key values and workload program.
+/// Every rule that needs a resolved value throws here, so a spec that
+/// plans at default options is valid. Builds no universe.
+spec_plan plan_spec(const experiment_spec& spec, const spec_options& opt) {
+  spec_plan plan;
   const spec_profile* prof = nullptr;
-  spec_options eff = effective_options(spec, opt, &prof);
-  if (spec.single_seed) eff.seeds = 1;
+  plan.eff = effective_options(spec, opt, &prof);
+  if (spec.single_seed) plan.eff.seeds = 1;
+  const spec_options& eff = plan.eff;
 
   var_map builtins = builtin_vars(eff);
   if (prof != nullptr) {
@@ -1394,47 +1179,53 @@ util::json run_spec(const experiment_spec& spec, const spec_options& opt,
     }
   }
 
-  workload::bench_report report(spec.name);
   for (const std::string& p : spec.report_params) {
     if (auto kv = param_override(p, builtins)) {
-      report.param(kv->first, std::move(kv->second));
-      continue;
-    }
-    if (p == "peers") {
-      report.param("peers", eff.peers);
+      plan.report_params.push_back(std::move(*kv));
+    } else if (p == "peers") {
+      plan.report_params.emplace_back(p, eff.peers);
     } else if (p == "seeds") {
-      report.param("seeds", eff.seeds);
+      plan.report_params.emplace_back(p, eff.seeds);
     } else if (p == "rounds") {
-      report.param("rounds", eff.rounds);
+      plan.report_params.emplace_back(p, eff.rounds);
     } else if (p == "seed") {
-      report.param("seed", eff.seed);
+      plan.report_params.emplace_back(p, eff.seed);
     } else if (p == "workload") {
       const util::json* name =
           spec.workload.has_value() ? spec.workload->find("name") : nullptr;
-      report.param("workload",
-                   name != nullptr && name->is_string() ? *name : util::json());
+      plan.report_params.emplace_back(
+          p, name != nullptr && name->is_string() ? *name : util::json());
+    } else {
+      bad("unknown report param \"" + p + "\"");
     }
   }
 
-  spec_execution exec{spec};
   if (spec.warmup == "half") {
-    exec.warmup = eff.rounds / 2;
+    plan.warmup = eff.rounds / 2;
   } else if (!spec.warmup.empty()) {
-    exec.warmup = static_cast<int>(count_token("warmup", spec.warmup, eff));
+    // Clamped to the run before narrowing: a literal past INT_MAX would
+    // wrap, a negative result into billions of measured periods.
+    plan.warmup = static_cast<int>(
+        std::min(count_token("warmup", spec.warmup, eff),
+                 static_cast<std::size_t>(eff.rounds)));
   }
-  if (exec.warmup > eff.rounds) exec.warmup = eff.rounds;
-  exec.measure = eff.rounds - exec.warmup;
-  exec.capture_traj = spec.workload.has_value() && spec.trajectories;
-  exec.capture_checks = !spec.checks.empty();
+  plan.measure = eff.rounds - plan.warmup;
+  plan.capture_traj = spec.workload.has_value() && spec.trajectories;
   for (const spec_entry& c : spec.checks) {
-    exec.check_probes.push_back(metrics::find_probe(c.probe));
+    const metrics::probe* p = metrics::find_probe(c.probe);
+    if (p == nullptr) bad("unknown check probe \"" + c.probe + "\"");
+    if (p->kind != metrics::probe_kind::check) {
+      bad("\"checks\" entry \"" + c.probe + "\" is a " +
+          std::string(metrics::to_string(p->kind)) +
+          " probe, not a check probe");
+    }
+    plan.check_probes.push_back(p);
   }
 
   // Effective timeline: the spec's own block, force-enabled by
   // --timeline (default passive columns when the spec declares none),
-  // period overridable by --timeline-period. Resolving here (not just
-  // in validate()) also vets flag-supplied columns. A static spec has no
-  // sim time to sample.
+  // period overridable by --timeline-period. A static spec has no sim
+  // time to sample.
   spec_timeline tl = spec.timeline;
   if (eff.timeline && !tl.enabled && !spec.static_eval) {
     tl.enabled = true;
@@ -1444,38 +1235,83 @@ util::json run_spec(const experiment_spec& spec, const spec_options& opt,
   if (tl.enabled && eff.timeline_period_s > 0) {
     tl.period_s = eff.timeline_period_s;
   }
-  exec.capture_timeline = tl.enabled;
-  exec.timeline_period_s = tl.period_s;
-  exec.timeline_names = tl.probes;
+  plan.timeline = tl.enabled;
+  plan.timeline_period_s = tl.period_s;
+  plan.timeline_names = tl.probes;
   for (const std::string& token : tl.probes) {
-    exec.timeline_cols.push_back(resolve_timeline_column(token));
+    plan.timeline_cols.push_back(resolve_timeline_column(token));
+  }
+
+  // Columns: each probe column resolves to one selector and joins a run.
+  // A probe reference is either a scalar-view selector (validated by
+  // metrics::resolve_selector, which owns the misuse messages) or a
+  // check probe, which renders verdict cells and is only legal in a
+  // static spec's columns or the "checks" list.
+  std::vector<metrics::probe_selector> selectors(spec.columns.size());
+  bool has_check_cells = !spec.checks.empty();
+  for (std::size_t j = 0; j < spec.columns.size(); ++j) {
+    const spec_entry& col = spec.columns[j];
+    if (col.k == spec_entry::kind::ratio) {
+      if (spec.static_eval) {
+        bad("ratio columns need seed aggregates; they cannot run in a "
+            "\"static\" spec");
+      }
+      const auto in_range = [&](int i) {
+        return i >= 0 && static_cast<std::size_t>(i) < j &&
+               spec.columns[static_cast<std::size_t>(i)].k ==
+                   spec_entry::kind::probe;
+      };
+      if (!in_range(col.ratio_num) || !in_range(col.ratio_den)) {
+        bad("ratio column \"" + col.header +
+            "\" must reference earlier probe columns");
+      }
+    }
+    if (col.k != spec_entry::kind::probe) continue;
+    if (spec.shared_run && !col.set.empty()) {
+      bad("column \"" + col.header +
+          "\" sets config, but \"probes\" share one run per row");
+    }
+    const metrics::probe* p = metrics::find_probe(col.probe);
+    if (p == nullptr) bad("unknown probe \"" + col.probe + "\"");
+    if (spec.static_eval && p->needs_world) {
+      bad("probe \"" + col.probe +
+          "\" needs a simulated world; it cannot run in a \"static\" spec");
+    }
+    if (p->kind != metrics::probe_kind::check) {
+      selectors[j] = metrics::resolve_selector(col.probe, col.cls, col.stat);
+    } else {
+      if (!spec.static_eval) {
+        bad("check probe \"" + col.probe +
+            "\" in a column needs a \"static\" spec or the \"checks\" list");
+      }
+      if (!col.cls.empty() || !col.stat.empty()) {
+        bad("check probe \"" + col.probe +
+            "\" takes neither \"class\" nor \"stat\"");
+      }
+      selectors[j].p = p;
+      has_check_cells = true;
+    }
+    if (plan.runs.empty() || !spec.shared_run || spec.static_eval) {
+      plan.runs.emplace_back();
+    }
+    plan.runs.back().push_back(j);
+  }
+  if (spec.verdict.has_value() && !has_check_cells) {
+    bad("\"verdict\" needs check probes (a \"checks\" list or check "
+        "columns in a static spec)");
   }
 
   // Base settings: driver options first, then the spec's own overrides.
-  cell_settings base{experiment_config{}, builtins, {}, eff};
+  cell_settings base{experiment_config{}, builtins, {}, eff,
+                     spec.workload.has_value()};
   base.cfg.peer_count = eff.peers;
   base.cfg.gossip.view_size = eff.view_a;
   base.cfg.shards = eff.shards;
   (void)base.apply("transport", eff.transport);
   if (eff.udp_time_scale > 0) base.cfg.udp_time_scale = eff.udp_time_scale;
   for (const auto& [key, token] : spec.base) (void)base.apply(key, token);
-  // BENCH docs carry the transport so bench/trend.py can key trends on
-  // it (sim and udp numbers must never mix); omitted for plain sim
-  // runs, which trend.py reads as the default.
-  if (!spec.static_eval && base.cfg.transport != transport_kind::sim) {
-    report.add("transport", std::string(to_string(base.cfg.transport)));
-  }
+  plan.transport = base.cfg.transport;
 
-  // Plan: walk split × rows × runs once, in output order, resolving
-  // every cell's overrides, probe selectors and workload document.
-  spec_plan plan;
-  for (std::size_t j = 0; j < spec.columns.size(); ++j) {
-    if (spec.columns[j].k != spec_entry::kind::probe) continue;
-    if (plan.runs.empty() || !spec.shared_run || spec.static_eval) {
-      plan.runs.emplace_back();
-    }
-    plan.runs.back().push_back(j);
-  }
   const std::vector<std::string> split_tokens =
       spec.split.has_value() ? spec.split->axis.values
                              : std::vector<std::string>{std::string()};
@@ -1492,34 +1328,130 @@ util::json run_spec(const experiment_spec& spec, const spec_options& opt,
     }
     for_each_row(spec.rows, [&](const std::vector<std::size_t>& index) {
       cell_settings row = split;
-      spec_row& planned = table.rows.emplace_back();
-      planned.index = index;
+      std::vector<std::string>& labels = table.rows.emplace_back();
+      util::json row_keys = spec.cells ? util::json::object() : util::json();
       for (std::size_t a = 0; a < spec.rows.size(); ++a) {
-        planned.labels.push_back(
-            row.apply(spec.rows[a].key, spec.rows[a].values[index[a]]));
+        const spec_axis& axis = spec.rows[a];
+        const std::string& token = axis.values[index[a]];
+        labels.push_back(row.apply(axis.key, token));
+        if (spec.cells && !axis.cell_key.empty()) {
+          row_keys[axis.cell_key] = var_value(var_numeric(axis.key, token));
+        }
       }
       for (const std::vector<std::size_t>& run : plan.runs) {
-        cell_settings cell = row;
-        for (const std::size_t j : run) {
-          for (const auto& [key, token] : spec.columns[j].set) {
-            (void)cell.apply(key, token);
-          }
-        }
-        spec_cell& planned_cell = plan.cells.emplace_back();
-        planned_cell.cfg = cell.cfg;
-        planned_cell.params = cell.params;
-        if (spec.static_eval) continue;
+        cell_settings settings = row;
+        spec_cell& cell = plan.cells.emplace_back();
+        cell.cell_keys = row_keys;
         for (const std::size_t j : run) {
           const spec_entry& col = spec.columns[j];
-          planned_cell.sels.push_back(
-              metrics::resolve_selector(col.probe, col.cls, col.stat));
+          for (const auto& [key, token] : col.set) {
+            (void)settings.apply(key, token);
+          }
+          cell.sels.push_back(selectors[j]);
+          if (spec.cells && !col.cell_key.empty()) {
+            cell.cell_keys[col.cell_key] =
+                var_value(var_numeric(col.cell_key, col.cell_token));
+          }
         }
+        cell.cfg = std::move(settings.cfg);
+        cell.params = std::move(settings.params);
         if (spec.workload.has_value()) {
-          planned_cell.workload =
-              resolve_workload_vars(*spec.workload, cell.vars);
+          cell.program = workload::program_from_json(
+              resolve_workload_vars(*spec.workload, settings.vars),
+              cell.cfg.gossip.shuffle_period);
         }
       }
     });
+  }
+  return plan;
+}
+
+}  // namespace
+
+void experiment_spec::validate() const {
+  if (name.empty()) bad("\"name\" is required");
+  if (!preamble.empty() && !title.empty()) {
+    bad("\"preamble\" replaces the standard preamble; drop \"title\"");
+  }
+  if (rows.empty()) bad("at least one row axis is required");
+  if (columns.empty()) bad("at least one column is required");
+  if (split.has_value()) {
+    if (static_eval) bad("\"split\" is not supported in a static spec");
+    if (split->axis.values.empty()) bad("split axis needs values");
+    if (split->table_key.empty()) bad("split needs a \"table_key\"");
+  }
+  if (!checks.empty()) {
+    if (static_eval) {
+      bad("a static spec carries its checks as columns; drop the "
+          "\"checks\" list");
+    }
+    if (!shared_run) bad("\"checks\" ride the shared run of \"probes\" mode");
+  }
+  if (static_eval) {
+    if (workload.has_value()) bad("a \"static\" spec cannot have a workload");
+    if (!warmup.empty()) bad("a \"static\" spec cannot have a warmup");
+    if (cells) bad("\"cells\" needs seed aggregates (non-static specs)");
+    if (single_seed) {
+      bad("\"single_seed\" is meaningless in a \"static\" spec");
+    }
+  }
+  for (std::size_t i = 0; i < profiles.size(); ++i) {
+    for (std::size_t j = i + 1; j < profiles.size(); ++j) {
+      if (profiles[i].first == profiles[j].first) {
+        bad("duplicate profile \"" + profiles[i].first + "\"");
+      }
+    }
+  }
+  if (cells && shared_run) bad("\"cells\" requires \"columns\" mode");
+  if (workload.has_value()) {
+    if (!warmup.empty()) {
+      bad("\"warmup\" has no effect with a \"workload\" (the program "
+          "defines the timeline; add a steady phase instead)");
+    }
+  } else if (trajectories) {
+    bad("\"trajectories\" requires a \"workload\"");
+  }
+  if (trajectory_sample_periods < 0) {
+    bad("\"trajectory_sample_periods\" must be >= 0");
+  }
+  if (timeline.enabled) {
+    if (static_eval) {
+      bad("a \"static\" spec has no sim time; drop \"timeline\"");
+    }
+    if (timeline.period_s <= 0) {
+      bad("\"timeline\" needs a positive \"period_s\"");
+    }
+    if (timeline.probes.empty()) {
+      bad("\"timeline\" needs a non-empty \"probes\" array");
+    }
+  }
+  // Everything else is checked by planning every cell at default run
+  // options, without a profile: profiles override the values of builtin
+  // variables but never introduce names, so a spec that validates also
+  // runs profile-less.
+  (void)plan_spec(*this, spec_options{});
+}
+
+util::json run_spec(const experiment_spec& spec, const spec_options& opt,
+                    std::ostream& out) {
+  // Scale options arrive from the command line; a negative value would
+  // otherwise clamp into an empty run or wrap around as a size.
+  if (opt.peers < 2) bad("peers must be >= 2");
+  if (opt.seeds < 1) bad("seeds must be >= 1");
+  if (opt.rounds < 0) bad("rounds must be >= 0");
+  spec.validate();
+  const spec_plan plan = plan_spec(spec, opt);
+  const spec_options& eff = plan.eff;
+
+  workload::bench_report report(spec.name);
+  for (const auto& [name, value] : plan.report_params) {
+    report.param(name, value);
+  }
+  // BENCH docs carry the transport so bench/trend.py can key trends on
+  // it (sim and udp numbers must never mix); omitted for plain sim
+  // runs, which trend.py reads as the default.
+  if (!spec.static_eval && plan.transport != transport_kind::sim) {
+    report.add("transport", std::string(to_string(plan.transport)));
   }
 
   // Run: every (cell, seed) universe on one pool, cell-major. Seed s of
@@ -1527,20 +1459,15 @@ util::json run_spec(const experiment_spec& spec, const spec_options& opt,
   const auto seeds = static_cast<std::size_t>(eff.seeds);
   std::vector<universe_result> results;
   if (!spec.static_eval && !plan.cells.empty()) {
-    std::size_t shards = 0;
-    for (const spec_cell& cell : plan.cells) {
-      shards = std::max(shards, cell.cfg.shards);
-    }
     const int tasks = static_cast<int>(plan.cells.size() * seeds);
     results.resize(plan.cells.size() * seeds);
-    parallel_for(tasks, worker_budget(eff.threads, shards, tasks), [&](int i) {
-      const auto u = static_cast<std::size_t>(i);
-      universe_result& slot = results[u];
-      slot.values = exec.run_once(plan.cells[u / seeds],
-                                  util::derive_seed(eff.seed, u % seeds),
-                                  exec.capturing() ? &slot.capture : nullptr);
-      net::release_thread_payloads();
-    });
+    parallel_for(
+        tasks, worker_budget(eff.threads, eff.shards, tasks), [&](int i) {
+          const auto u = static_cast<std::size_t>(i);
+          run_universe(spec, plan, plan.cells[u / seeds],
+                       util::derive_seed(eff.seed, u % seeds), results[u]);
+          net::release_thread_payloads();
+        });
   }
 
   // Render: tables, cells, checks and series from the slots, in plan
@@ -1568,8 +1495,7 @@ util::json run_spec(const experiment_spec& spec, const spec_options& opt,
     }
     text_table table(headers);
 
-    for (const spec_row& row : planned_table.rows) {
-      const std::vector<std::string>& row_labels = row.labels;
+    for (const std::vector<std::string>& row_labels : planned_table.rows) {
 
       /// Appends a {table?, row} entry to `sink` (check verdicts and
       /// per-seed series share the prefix).
@@ -1582,21 +1508,15 @@ util::json run_spec(const experiment_spec& spec, const spec_options& opt,
         return entry;
       };
 
-      /// `cells` mode: one entry per probe column, carrying each
-      /// cell_key'd axis value plus the full multi-seed aggregate.
-      const auto record_cell = [&](const spec_entry& col,
+      /// `cells` mode: one entry per probe column, carrying the cell's
+      /// cell_key values plus the full multi-seed aggregate.
+      const auto record_cell = [&](const spec_cell& cell,
+                                   const spec_entry& col,
                                    const seed_aggregate& agg) {
         util::json& entry = cells_json.push_back(util::json::object());
         if (!table_key.empty()) entry["table"] = table_key;
-        for (std::size_t a = 0; a < spec.rows.size(); ++a) {
-          const spec_axis& axis = spec.rows[a];
-          if (axis.cell_key.empty()) continue;
-          const std::string& token = axis.values[row.index[a]];
-          entry[axis.cell_key] = var_value(var_numeric(axis.key, token));
-        }
-        if (!col.cell_key.empty()) {
-          entry[col.cell_key] =
-              var_value(var_numeric(col.cell_key, col.cell_token));
+        for (const auto& [key, value] : cell.cell_keys.object_items()) {
+          entry[key] = value;
         }
         std::string metric_key = col.probe;
         if (!col.cls.empty()) {
@@ -1608,22 +1528,23 @@ util::json run_spec(const experiment_spec& spec, const spec_options& opt,
       };
 
       /// Records a cell's per-seed captures: check verdicts, then the
-      /// trajectory and timeline series. A failed check triggers a
-      /// one-shot dump of the message flight recorder (when
-      /// `nylon_exp --msglog` armed it) so the hop-by-hop forensics land
-      /// next to the verdict.
+      /// trajectory and timeline series. The first failed check prints
+      /// its first failed seed's flight-recorder dump, when one was
+      /// taken, so the hop-by-hop forensics land next to the verdict.
       const auto record_captures = [&](std::span<universe_result> per_seed,
                                        const std::string& column) {
         for (std::size_t c = 0; c < spec.checks.size(); ++c) {
           bool passed = true;
           std::string detail;
           util::json failed_seeds = util::json::array();
+          const universe_result* first_failed = nullptr;
           for (std::size_t s = 0; s < per_seed.size(); ++s) {
             const util::json& verdict = per_seed[s].capture.at("checks").at(c);
             if (s == 0) detail = verdict.at("detail").as_string();
             if (!verdict.at("passed").as_bool()) {
               passed = false;
               failed_seeds.push_back(static_cast<std::int64_t>(s));
+              if (first_failed == nullptr) first_failed = &per_seed[s];
             }
           }
           util::json& entry = row_entry(checks_json);
@@ -1634,11 +1555,12 @@ util::json run_spec(const experiment_spec& spec, const spec_options& opt,
             entry["failed_seeds"] = std::move(failed_seeds);
           }
           checks_passed = checks_passed && passed;
-          if (!passed && !msglog_dumped && obs::msglog_enabled()) {
+          if (first_failed != nullptr && !msglog_dumped &&
+              !first_failed->msglog.empty()) {
             msglog_dumped = true;
             std::cerr << "# check \"" << spec.checks[c].header
-                      << "\" failed — sampled message flight records:\n";
-            obs::msglog_dump(std::cerr, 40);
+                      << "\" failed — sampled message flight records:\n"
+                      << first_failed->msglog;
           }
         }
         const auto record_series = [&](util::json& sink, const char* part) {
@@ -1650,27 +1572,25 @@ util::json run_spec(const experiment_spec& spec, const spec_options& opt,
           if (!column.empty()) entry["column"] = column;
           entry["per_seed"] = std::move(series);
         };
-        if (exec.capture_traj) record_series(trajectories, "trajectory");
-        if (exec.capture_timeline) record_series(timeline_cells, "timeline");
+        if (plan.capture_traj) record_series(trajectories, "trajectory");
+        if (plan.timeline) record_series(timeline_cells, "timeline");
       };
 
       std::vector<std::string> cells(spec.columns.size());
       std::vector<double> means(spec.columns.size(), 0.0);
       for (const std::vector<std::size_t>& run : plan.runs) {
         const std::size_t c = next_cell++;
+        const spec_cell& cell = plan.cells[c];
         if (spec.static_eval) {
           // Check cells render their check_result::cell and record a
           // verdict entry.
           const spec_entry& col = spec.columns[run.front()];
-          const metrics::probe* p = metrics::find_probe(col.probe);
+          const metrics::probe_selector& sel = cell.sels.front();
           const metrics::probe_value value =
-              p->run(metrics::probe_context{plan.cells[c].params});
+              sel.p->run(metrics::probe_context{cell.params});
           if (value.kind != metrics::probe_kind::check) {
-            cells[run.front()] = fmt(
-                metrics::extract_scalar(
-                    metrics::resolve_selector(col.probe, col.cls, col.stat),
-                    value),
-                col.precision);
+            cells[run.front()] =
+                fmt(metrics::extract_scalar(sel, value), col.precision);
             continue;
           }
           util::json& entry = row_entry(checks_json);
@@ -1685,7 +1605,7 @@ util::json run_spec(const experiment_spec& spec, const spec_options& opt,
 
         const std::span<universe_result> per_seed(results.data() + c * seeds,
                                                   seeds);
-        if (exec.capturing()) {
+        if (plan.capturing()) {
           record_captures(per_seed,
                           spec.shared_run
                               ? std::string()
@@ -1699,7 +1619,7 @@ util::json run_spec(const experiment_spec& spec, const spec_options& opt,
             agg.values.push_back(r.values[k]);
           }
           agg.stats = util::summarize(agg.values);
-          if (spec.cells) record_cell(col, agg);
+          if (spec.cells) record_cell(cell, col, agg);
           means[run[k]] = agg.stats.mean;
           cells[run[k]] = fmt(means[run[k]], col.precision);
         }
@@ -1731,19 +1651,19 @@ util::json run_spec(const experiment_spec& spec, const spec_options& opt,
   }
 
   if (spec.cells) report.add("cells", std::move(cells_json));
-  if (exec.capture_traj && trajectories.size() > 0) {
+  if (plan.capture_traj && trajectories.size() > 0) {
     report.add("trajectories", std::move(trajectories));
   }
-  if (exec.capture_timeline) {
+  if (plan.timeline) {
     if (!eff.timeline_csv.empty()) {
-      write_timeline_csv(eff.timeline_csv, exec.timeline_names,
+      write_timeline_csv(eff.timeline_csv, plan.timeline_names,
                          timeline_cells);
     }
     util::json block = util::json::object();
-    block["period_s"] = exec.timeline_period_s;
+    block["period_s"] = plan.timeline_period_s;
     util::json cols = util::json::array();
     cols.push_back(std::string("t_s"));
-    for (const std::string& name : exec.timeline_names) {
+    for (const std::string& name : plan.timeline_names) {
       cols.push_back(name);
     }
     block["columns"] = std::move(cols);

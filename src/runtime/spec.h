@@ -180,9 +180,13 @@ struct experiment_spec {
   /// Sim-time health timeline (see spec_timeline).
   spec_timeline timeline;
 
-  /// Structural validation (axis keys, probe names and selector
-  /// kinds, ratio references, warmup literal, workload shape, profile
-  /// values, static/check constraints). Throws nylon::contract_error.
+  /// Checks the structural rules (required parts, mode and static/check
+  /// constraints, duplicate profiles), then plans the spec at default
+  /// spec_options: the same resolution run_spec executes, so every
+  /// axis key and value, probe selector, ratio reference, warmup
+  /// literal, report param, timeline column and per-cell workload
+  /// program is checked. Builds no universe. Throws
+  /// nylon::contract_error.
   void validate() const;
 };
 

@@ -285,7 +285,7 @@ void engine::run() {
       world_.clear_sampler(runtime::scenario::sampler_workload);
     }
     drain_until(end);
-    if (opt_.snapshot_phase_end) take_snapshot(i, p.label);
+    take_snapshot(i, p.label);
     t = end;
   }
   world_.clear_sampler(runtime::scenario::sampler_workload);

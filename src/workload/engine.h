@@ -47,9 +47,8 @@ struct snapshot {
   metrics::view_metrics views;        ///< zeroed when measuring is off
 };
 
+/// The engine always snapshots when each phase's window closes.
 struct engine_options {
-  /// Take a snapshot when each phase's window closes.
-  bool snapshot_phase_end = true;
   /// > 0: also sample every `sample_interval` of simulated time inside
   /// phases with a duration (trajectories for BENCH_*.json). Mid-phase
   /// samples ride scenario::sampler_workload — the same tick machinery

@@ -4,11 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <iostream>
 #include <map>
 #include <sstream>
 #include <string>
 
 #include "metrics/probe.h"
+#include "obs/msglog.h"
 #include "runtime/scenario.h"
 #include "util/contracts.h"
 #include "util/json.h"
@@ -468,6 +470,22 @@ TEST(experiment_spec, workload_variable_misuse_throws) {
                contract_error);
 }
 
+TEST(experiment_spec, every_workload_variable_value_is_checked_at_parse) {
+  // Each '$departures' value resolves into its own cell's program, so the
+  // second value's out-of-range fraction fails when the spec is parsed,
+  // not mid-run inside a worker.
+  EXPECT_THROW(parse(R"({
+    "name": "x", "title": "t",
+    "workload": {"phases": [
+      {"kind": "steady", "periods": 1},
+      {"kind": "mass_departure", "fraction": "$departures/100"}
+    ]},
+    "rows": [{"axis": "$departures", "header": "dep", "values": [50, 150]}],
+    "probes": [{"probe": "alive_count"}]
+  })"),
+               contract_error);
+}
+
 TEST(experiment_spec, column_sweep_can_drive_a_workload_variable) {
   // The swept '$' variable lives in the *columns*, not the rows; the
   // validator must seed it into the workload resolution all the same.
@@ -701,6 +719,78 @@ TEST(experiment_spec, checks_emit_verdicts_and_exit_status) {
   const util::json doc2 = run_spec(spec, opt, again);
   EXPECT_EQ(out.str(), again.str());
   EXPECT_EQ(doc.dump_string(0), doc2.dump_string(0));
+}
+
+/// Runs `spec` with the flight recorder sampling every message and
+/// returns what run_spec wrote to stderr (the failed-check dump).
+std::string failed_check_dump(const experiment_spec& spec) {
+  spec_options opt;
+  opt.peers = 40;
+  opt.rounds = 3;
+  opt.seeds = 1;
+  opt.threads = 1;
+  std::ostringstream out;
+  std::ostringstream err;
+  obs::msglog_start(/*sample_one_in=*/1);
+  std::streambuf* const saved = std::cerr.rdbuf(err.rdbuf());
+  try {
+    (void)run_spec(spec, opt, out);
+  } catch (...) {
+    std::cerr.rdbuf(saved);
+    obs::msglog_stop();
+    throw;
+  }
+  std::cerr.rdbuf(saved);
+  obs::msglog_stop();
+  return err.str();
+}
+
+TEST(experiment_spec, failed_check_dump_holds_only_the_failing_universe) {
+  obs::msglog_start(/*sample_one_in=*/1);
+  const bool recording = obs::msglog_enabled();
+  obs::msglog_stop();
+  if (!recording) GTEST_SKIP() << "telemetry compiled out (NYLON_OBS=0)";
+  // Row 0 departs nobody and passes; row 1 departs half the peers right
+  // before the checks, leaving dead view references behind.
+  const auto spec_with = [](const std::string& departures) {
+    return parse(R"({
+      "name": "dump", "title": "t",
+      "workload": {"phases": [
+        {"kind": "steady", "periods": 3},
+        {"kind": "mass_departure", "fraction": "$departures/100"}
+      ]},
+      "rows": [{"axis": "$departures", "header": "dep", "values": )" +
+                 departures + R"(}],
+      "probes": [{"probe": "alive_count"}],
+      "checks": [{"probe": "check_no_dead_refs"}]
+    })");
+  };
+  const std::string both = failed_check_dump(spec_with("[0, 50]"));
+  EXPECT_NE(both.find("\"check_no_dead_refs\" failed"), std::string::npos)
+      << both;
+  EXPECT_NE(both.find("# msg "), std::string::npos) << both;
+  // Row 0's universe ran first on the same thread; its hops must not
+  // appear in (or push out of) row 1's dump.
+  EXPECT_EQ(both, failed_check_dump(spec_with("[50]")));
+}
+
+TEST(experiment_spec, warmup_beyond_the_run_leaves_no_measured_window) {
+  // 2^32 + 1 warm-up rounds clamp to the 4-round run, so nothing is
+  // measured and the rate probe reads 0 (it once wrapped to 1 round).
+  const experiment_spec spec = parse(R"({
+    "name": "w", "title": "t", "warmup": 4294967297,
+    "rows": [{"axis": "natted_pct", "header": "n", "values": [0]}],
+    "probes": [{"probe": "all_bytes_per_s", "header": "bytes/s"}]
+  })");
+  spec_options opt;
+  opt.peers = 20;
+  opt.rounds = 4;
+  opt.threads = 1;
+  std::ostringstream out;
+  const util::json doc = run_spec(spec, opt, out);
+  EXPECT_EQ(doc.at("table").at("rows").at(std::size_t{0}).at(std::size_t{1})
+                .as_string(),
+            "0.0");
 }
 
 TEST(experiment_spec, single_seed_runs_one_derived_seed) {
