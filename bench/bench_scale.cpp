@@ -7,37 +7,36 @@
 //   bench_scale                         # 100k peers, ~a few minutes
 //   bench_scale --n 2000 --warmup 10    # CI-sized smoke run
 //   bench_scale --shards 4 --trace t.json --heartbeat 10
-//   bench_scale --sweep-shards 1,2,4    # shard-scaling campaign, one JSON
+//   bench_scale --shards 0,1,2,4        # shard-scaling campaign, one JSON
 //   bench_scale --profile million       # 1M-peer profile (reduced churn)
 //
 // Unlike the figure benches this one measures the *simulator*, not the
 // paper: metrics collection is off during the run (snapshots are
 // population counters only) and connectivity is measured once at the end.
 //
-// With --shards K >= 1 the run also reports the epoch profiler's
-// per-shard work/wait split, the shard-imbalance factor and the barrier
-// overhead; --trace writes a Chrome/Perfetto trace of the run. Both are
+// --shards takes a list of shard counts; the same universe runs once
+// per K, in-process, back to back, in list order. K = 0 is the serial
+// engine; with K >= 1 a run also reports the epoch profiler's per-shard
+// work/wait split, the shard-imbalance factor, the barrier overhead and
+// `crossings_per_epoch` (the busiest shard's waited-through barrier
+// crossings per epoch, which bench/smoke_scale.py holds at <= 1).
+// --trace writes a Chrome/Perfetto trace of the last run. Both are
 // observation-only: state_digest is byte-identical with or without them.
 //
-// With --sweep-shards K1,K2,... the same universe is run once per K,
-// in-process and back to back. The sweep asserts the determinism
-// contract as it goes — every K >= 1 must produce the identical state
-// digest (the serial engine, K = 0, has its own digest family and is
-// only compared against other K = 0 entries) — and the BENCH JSON gains
-// a results.sweep array carrying the per-K events/s, the speedup curve
-// relative to the first K, and the per-K epoch statistics (epochs run,
-// mean/max epoch width in sim-ms, events per epoch), which bench/trend.py
-// gates per shard count, plus `crossings_per_epoch` (the busiest shard's
-// waited-through barrier crossings per epoch), which bench/smoke_scale.py
-// holds at <= 1. A digest mismatch exits non-zero after the JSON
-// is written.
+// The BENCH JSON holds one row per run in `results.runs` (its scalars,
+// its epoch statistics and its events/s relative to the first run) plus
+// `results.digests_consistent`. The binary asserts the determinism
+// contract over the list: every K >= 1 must match the first K >= 1 on
+// state_digest, events_executed, epochs, alive_peers, joined, departed
+// and biggest_cluster_pct; the serial engine is its own family and is
+// held to the same fields (bar epochs) against the other K = 0 runs. A
+// divergence exits 1 after the JSON is written.
 //
 // Memory: every run reports its peak resident set (`peak_rss_mb`) and
 // that peak divided by the population (`rss_bytes_per_peer`). Each run
 // first hands the heap pages earlier runs freed back to the kernel
 // (malloc_trim), resets the kernel's high-water mark (writing 5 to
-// /proc/self/clear_refs) and at its end reads VmHWM, so in a sweep each
-// K's figure covers that K's run alone. Where the reset is refused the
+// /proc/self/clear_refs) and at its end reads VmHWM, so each K's figure covers that K's run alone. Where the reset is refused the
 // figure falls back to getrusage's ru_maxrss, the peak through that K's
 // run.
 // Each run also reports, from a walk over the universe at its end, the
@@ -50,11 +49,15 @@
 #include <malloc.h>
 #endif
 
+#include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/nylon_peer.h"
@@ -74,7 +77,7 @@ namespace {
 
 using namespace nylon;
 
-/// Everything one (config, K) run produces; the sweep collects one per K.
+/// Everything one (config, K) run produces; main collects one per K.
 struct run_outcome {
   std::int64_t shards = 0;  // 0 = serial engine
   double build_s = 0.0;
@@ -216,9 +219,9 @@ run_outcome run_world(runtime::experiment_config cfg, const run_params& p) {
 
 /// Human-readable block for one run. Every line except the timings, the
 /// memory lines and the telemetry block is a pure function of (config,
-/// seed) — identical for any --shards K >= 1, which the sweep and the CI
-/// digest cross-check pin (state_digest covers views, traffic, drops and
-/// the event count in one value).
+/// seed) — identical for any --shards K >= 1, which main's family check
+/// pins (state_digest covers views, traffic, drops and the event count in
+/// one value).
 void print_outcome(const run_outcome& r) {
   std::cout << "run_wall_s            " << r.run_s << "\n"
             << "events_executed       " << r.events << "\n"
@@ -260,44 +263,74 @@ void print_outcome(const run_outcome& r) {
   }
 }
 
-/// The per-run scalars every BENCH consumer reads (trend.py included).
-util::json outcome_json(const run_outcome& r) {
-  util::json results = util::json::object();
-  results["build_wall_s"] = r.build_s;
-  results["run_wall_s"] = r.run_s;
-  results["events_executed"] = r.events;
-  results["events_per_sec"] = r.events_per_sec;
-  results["alive_peers"] = static_cast<std::int64_t>(r.alive);
-  results["joined"] = static_cast<std::int64_t>(r.joined);
-  results["departed"] = static_cast<std::int64_t>(r.departed);
-  results["biggest_cluster_pct"] = r.biggest_cluster_pct;
-  results["state_digest"] = r.digest_hex;
-  results["final_measure_s"] = r.measure_s;
-  results["peak_rss_mb"] = r.peak_rss_mb;
-  results["rss_bytes_per_peer"] = r.rss_bytes_per_peer;
-  results["route_table_bytes_per_peer"] = r.route_table_bytes_per_peer;
-  results["nat_table_bytes_per_peer"] = r.nat_table_bytes_per_peer;
+/// One `results.runs` row: the run's scalars, its epoch statistics (K >=
+/// 1) and profile ratios (telemetry builds), and its events/s relative to
+/// `first_eps`, the first run's.
+util::json run_row(const run_outcome& r, double first_eps) {
+  util::json row = util::json::object();
+  row["shards"] = r.shards;
+  row["build_wall_s"] = r.build_s;
+  row["run_wall_s"] = r.run_s;
+  row["events_executed"] = r.events;
+  row["events_per_sec"] = r.events_per_sec;
+  row["speedup_vs_first"] = first_eps > 0 ? r.events_per_sec / first_eps : 0.0;
+  row["alive_peers"] = static_cast<std::int64_t>(r.alive);
+  row["joined"] = static_cast<std::int64_t>(r.joined);
+  row["departed"] = static_cast<std::int64_t>(r.departed);
+  row["biggest_cluster_pct"] = r.biggest_cluster_pct;
+  row["state_digest"] = r.digest_hex;
+  row["final_measure_s"] = r.measure_s;
+  row["peak_rss_mb"] = r.peak_rss_mb;
+  row["rss_bytes_per_peer"] = r.rss_bytes_per_peer;
+  row["route_table_bytes_per_peer"] = r.route_table_bytes_per_peer;
+  row["nat_table_bytes_per_peer"] = r.nat_table_bytes_per_peer;
   if (r.shards > 0) {
-    results["epochs"] = r.profile.epochs;
-    results["epoch_width_ms_mean"] = r.profile.epoch_width_ms_mean;
-    results["epoch_width_ms_max"] = r.profile.epoch_width_ms_max;
-    results["events_per_epoch"] = r.profile.events_per_epoch;
+    row["epochs"] = r.profile.epochs;
+    row["epoch_width_ms_mean"] = r.profile.epoch_width_ms_mean;
+    row["epoch_width_ms_max"] = r.profile.epoch_width_ms_max;
+    row["events_per_epoch"] = r.profile.events_per_epoch;
   }
-  return results;
+  if (!r.profile.empty()) {
+    row["imbalance"] = r.profile.imbalance();
+    row["barrier_overhead_pct"] = 100.0 * r.profile.barrier_overhead();
+    row["crossings_per_epoch"] = r.profile.crossings_per_epoch();
+  }
+  return row;
 }
 
-/// "1,2,4" -> {1, 2, 4}; throws std::invalid_argument on junk.
-std::vector<std::int64_t> parse_sweep(const std::string& text) {
-  std::vector<std::int64_t> ks;
+/// The first field the determinism contract pins on which two runs of
+/// one engine family differ, or "" when none does. Epochs exist only for
+/// K >= 1 (both runs are of the same family).
+std::string first_divergence(const run_outcome& a, const run_outcome& b) {
+  if (a.digest_hex != b.digest_hex) return "state_digest";
+  if (a.events != b.events) return "events_executed";
+  if (a.shards > 0 && a.profile.epochs != b.profile.epochs) return "epochs";
+  if (a.alive != b.alive) return "alive_peers";
+  if (a.joined != b.joined) return "joined";
+  if (a.departed != b.departed) return "departed";
+  if (a.biggest_cluster_pct != b.biggest_cluster_pct) {
+    return "biggest_cluster_pct";
+  }
+  return "";
+}
+
+/// "0,1,4" -> {0, 1, 4}; throws std::invalid_argument on an empty item,
+/// junk, a negative or a count above experiment_config::max_shards.
+std::vector<std::size_t> parse_shards(const std::string& text) {
+  std::vector<std::size_t> ks;
   std::size_t pos = 0;
   while (pos <= text.size()) {
     const std::size_t comma = std::min(text.find(',', pos), text.size());
-    const std::string item = text.substr(pos, comma - pos);
-    std::size_t used = 0;
-    const long long k = item.empty() ? -1 : std::stoll(item, &used);
-    if (item.empty() || used != item.size() || k < 0) {
-      throw std::invalid_argument("--sweep-shards: bad shard count '" + item +
-                                  "'");
+    const std::string_view item(text.data() + pos, comma - pos);
+    std::size_t k = 0;
+    const auto [end, ec] =
+        std::from_chars(item.data(), item.data() + item.size(), k);
+    if (ec != std::errc{} || end != item.data() + item.size() ||
+        k > runtime::experiment_config::max_shards) {
+      throw std::invalid_argument(
+          "--shards: bad shard count '" + std::string(item) +
+          "' (expected a comma-separated list of 0.." +
+          std::to_string(runtime::experiment_config::max_shards) + ")");
     }
     ks.push_back(k);
     pos = comma + 1;
@@ -317,14 +350,11 @@ int main(int argc, char** argv) {
       "arrivals", 50.0, "Poisson arrivals per second during churn");
   const auto* rebind = flags.add_double(
       "rebind-frac", 0.1, "fraction of natted peers re-bound mid-run");
-  const auto* shards = flags.add_int(
-      "shards", 0,
-      "shards per universe (0 = serial engine; K >= 1 = sharded engine, "
-      "byte-identical for every K)");
-  const auto* sweep_flag = flags.add_string(
-      "sweep-shards", "",
-      "comma-separated shard counts; runs the same universe once per K, "
-      "asserts digest equality and emits a per-K speedup curve");
+  const auto* shards_flag = flags.add_string(
+      "shards", "0",
+      "comma-separated shard counts, one run of the same universe per K "
+      "(0 = serial engine; K >= 1 = sharded engine, byte-identical for "
+      "every K)");
   const auto* profile_name = flags.add_string(
       "profile", "",
       "named parameter preset: 'million' (n=1000000, reduced churn); "
@@ -338,10 +368,10 @@ int main(int argc, char** argv) {
       "heartbeat", 0.0,
       "print a progress line to stderr every SEC wall seconds (0 = off)");
   const auto* help = flags.add_bool("help", false, "print usage");
-  std::vector<std::int64_t> sweep;
+  std::vector<std::size_t> plan;
   try {
     flags.parse(argc, argv);
-    if (!sweep_flag->empty()) sweep = parse_sweep(*sweep_flag);
+    plan = parse_shards(*shards_flag);
   } catch (const std::exception& e) {
     std::cerr << e.what() << "\n" << flags.usage("bench_scale");
     return 1;
@@ -354,11 +384,6 @@ int main(int argc, char** argv) {
     std::cerr << why << "\n" << flags.usage("bench_scale");
     return 1;
   };
-  if (*shards < 0) return reject("--shards must be >= 0 (0 = serial engine)");
-  if (flags.provided("shards") && !sweep.empty()) {
-    return reject("--shards and --sweep-shards are mutually exclusive");
-  }
-
   // The million-peer profile layers defaults under flags the user did
   // not set: it trades churn periods for population so a 1M-peer world
   // stays tractable (expect a long single-threaded build; at n=20000
@@ -399,16 +424,12 @@ int main(int argc, char** argv) {
   params.rebind = *rebind;
   params.heartbeat_s = *heartbeat_s;
 
-  // The list of shard counts to run: the sweep, or the one --shards K.
-  const std::vector<std::int64_t> plan =
-      sweep.empty() ? std::vector<std::int64_t>{*shards} : sweep;
-
   std::vector<run_outcome> outcomes;
   outcomes.reserve(plan.size());
-  bool digests_ok = true;
+  bool consistent = true;
   for (std::size_t i = 0; i < plan.size(); ++i) {
-    cfg.shards = static_cast<std::size_t>(plan[i]);
-    // The trace covers the last run of the sweep (one file, one run).
+    cfg.shards = plan[i];
+    // The trace covers the last run (one file, one run).
     params.trace = !trace_path->empty() && i + 1 == plan.size();
     std::cout << "# bench_scale: n=" << cfg.peer_count << " warmup=" << *warmup
               << " churn_rounds=" << *churn_rounds << " arrivals=" << *arrivals
@@ -420,18 +441,19 @@ int main(int argc, char** argv) {
     outcomes.push_back(run_world(cfg, params));
     print_outcome(outcomes.back());
 
-    // Determinism contract, asserted as the sweep goes: every K >= 1
-    // yields the same digest; the serial engine (K = 0) is its own
-    // family and is only held against other serial entries.
-    for (std::size_t j = 0; j < i; ++j) {
-      const bool same_family = (plan[j] == 0) == (plan[i] == 0);
-      if (same_family &&
-          outcomes[j].digest_hex != outcomes.back().digest_hex) {
-        std::cerr << "DIGEST MISMATCH: shards=" << plan[j] << " -> "
-                  << outcomes[j].digest_hex << " but shards=" << plan[i]
-                  << " -> " << outcomes.back().digest_hex << "\n";
-        digests_ok = false;
-      }
+    // Determinism contract, asserted as the list goes: each run is held
+    // against the first run of its engine family (K >= 1, or serial).
+    const run_outcome& now = outcomes.back();
+    const auto first = std::find_if(
+        outcomes.begin(), outcomes.end(), [&now](const run_outcome& r) {
+          return (r.shards == 0) == (now.shards == 0);
+        });
+    const std::string field = first_divergence(*first, now);
+    if (!field.empty()) {
+      std::cerr << "DIVERGENCE on " << field << ": shards=" << first->shards
+                << " (digest " << first->digest_hex << ") vs shards="
+                << now.shards << " (digest " << now.digest_hex << ")\n";
+      consistent = false;
     }
   }
 
@@ -441,51 +463,21 @@ int main(int argc, char** argv) {
   report.param("churn_periods", *churn_rounds);
   report.param("arrivals_per_sec", *arrivals);
   report.param("rebind_frac", *rebind);
-  report.param("shards", outcomes.back().shards);
-  if (!sweep.empty()) report.param("sweep_shards", *sweep_flag);
+  report.param("shards", *shards_flag);
   if (!profile_name->empty()) report.param("profile", *profile_name);
   report.param("seed", static_cast<std::int64_t>(cfg.seed));
 
-  // results carries the last run's scalars (so single-run consumers and
-  // older tooling keep working) plus, for sweeps, the per-K curve.
-  util::json results = outcome_json(outcomes.back());
-  if (!sweep.empty()) {
-    const double base_eps = outcomes.front().events_per_sec;
-    util::json curve = util::json::array();
-    for (const run_outcome& r : outcomes) {
-      util::json row = util::json::object();
-      row["shards"] = r.shards;
-      row["build_wall_s"] = r.build_s;
-      row["run_wall_s"] = r.run_s;
-      row["events_executed"] = r.events;
-      row["events_per_sec"] = r.events_per_sec;
-      row["speedup_vs_first"] =
-          base_eps > 0 ? r.events_per_sec / base_eps : 0.0;
-      row["state_digest"] = r.digest_hex;
-      row["peak_rss_mb"] = r.peak_rss_mb;
-      row["rss_bytes_per_peer"] = r.rss_bytes_per_peer;
-      if (r.shards > 0) {
-        row["epochs"] = r.profile.epochs;
-        row["epoch_width_ms_mean"] = r.profile.epoch_width_ms_mean;
-        row["epoch_width_ms_max"] = r.profile.epoch_width_ms_max;
-        row["events_per_epoch"] = r.profile.events_per_epoch;
-      }
-      if (!r.profile.empty()) {
-        row["imbalance"] = r.profile.imbalance();
-        row["barrier_overhead_pct"] = 100.0 * r.profile.barrier_overhead();
-        row["crossings_per_epoch"] = r.profile.crossings_per_epoch();
-      }
-      curve.push_back(std::move(row));
-    }
-    results["sweep"] = std::move(curve);
-    results["digests_consistent"] = digests_ok;
-    std::cout << "# sweep:";
-    for (const run_outcome& r : outcomes) {
-      std::cout << " K=" << r.shards << ":"
-                << static_cast<std::uint64_t>(r.events_per_sec) << "ev/s";
-    }
-    std::cout << "\n";
+  util::json runs = util::json::array();
+  std::cout << "# runs:";
+  for (const run_outcome& r : outcomes) {
+    runs.push_back(run_row(r, outcomes.front().events_per_sec));
+    std::cout << " K=" << r.shards << ":"
+              << static_cast<std::uint64_t>(r.events_per_sec) << "ev/s";
   }
+  std::cout << "\n";
+  util::json results = util::json::object();
+  results["runs"] = std::move(runs);
+  results["digests_consistent"] = consistent;
   report.add("results", std::move(results));
 
   util::json telemetry = util::json::object();
@@ -506,5 +498,5 @@ int main(int argc, char** argv) {
                       : "")
               << "\n";
   }
-  return digests_ok ? 0 : 1;
+  return consistent ? 0 : 1;
 }

@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
-"""ctest smoke for the bench_scale shard sweep.
+"""ctest smoke for a bench_scale shard list.
 
-Runs a CI-sized sweep (n=2000, shards 1/2/4), then asserts what the CI
-shell steps used to check out-of-band: the binary exits 0 (it verifies
-digest equality across shard counts itself), the BENCH JSON parses, the
-per-K curve is complete, every K produced the same state digest, and
-every K > 1 crossed at most one barrier per epoch.
+Runs a CI-sized universe (n=2000) on shards 1, 2 and 4, then asserts:
+the binary exits 0 (it holds every K >= 1 to the first on the state
+digest, event and epoch counts, population and biggest cluster itself),
+the BENCH JSON parses, `results.runs` has one row per K in flag order,
+those rows agree on the same fields, and every K > 1 crossed at most one
+barrier per epoch.
 Invoked by CMake as a tier-1 test so a layout or allocator change that
 breaks the determinism contract fails `ctest`, not just CI.
 
@@ -24,7 +25,11 @@ import subprocess
 import sys
 import tempfile
 
-SWEEP = (1, 2, 4)
+SHARDS = (1, 2, 4)
+# What the determinism contract pins across K >= 1 (bench_scale checks
+# the same list before it exits).
+PINNED = ("state_digest", "events_executed", "epochs", "alive_peers",
+          "joined", "departed", "biggest_cluster_pct")
 
 
 def reject(bench, cases):
@@ -57,24 +62,26 @@ def main():
         out = os.path.join(tmp, "BENCH_scale.json")
         cmd = [args.bench, "--n", "2000", "--warmup", "5",
                "--churn-rounds", "10",
-               "--sweep-shards", ",".join(str(k) for k in SWEEP),
+               "--shards", ",".join(str(k) for k in SHARDS),
                "--json", out]
         print("+", " ".join(cmd), flush=True)
         proc = subprocess.run(cmd)
         assert proc.returncode == 0, \
-            f"bench_scale exited {proc.returncode} (digest mismatch?)"
+            f"bench_scale exited {proc.returncode} (shard divergence?)"
 
         with open(out, encoding="utf-8") as fh:
             doc = json.load(fh)
 
     assert doc.get("bench") == "scale", doc.get("bench")
     results = doc["results"]
+    assert set(results) == {"runs", "digests_consistent"}, sorted(results)
     assert results["digests_consistent"] is True
-    sweep = results["sweep"]
-    assert [row["shards"] for row in sweep] == list(SWEEP), sweep
-    digests = {row["state_digest"] for row in sweep}
-    assert len(digests) == 1, f"digest divergence across shards: {digests}"
-    for row in sweep:
+    runs = results["runs"]
+    assert [row["shards"] for row in runs] == list(SHARDS), runs
+    pinned = {tuple(row[k] for k in PINNED) for row in runs}
+    assert len(pinned) == 1, f"divergence across shards: {pinned}"
+    assert runs[0]["speedup_vs_first"] == 1.0, runs[0]
+    for row in runs:
         assert row["events_executed"] > 0, row
         assert row["events_per_sec"] > 0, row
         # Per-K epoch statistics: present and sane for every sharded
@@ -88,13 +95,9 @@ def main():
         # absent only from telemetry-free (NYLON_OBS=OFF) builds.
         if row["shards"] > 1 and "barrier_overhead_pct" in row:
             assert row["crossings_per_epoch"] <= 1.0, row
-    # The last sweep entry is mirrored into the top-level scalars for
-    # single-run consumers; they must agree.
-    assert results["state_digest"] == sweep[-1]["state_digest"]
-    assert results["events_executed"] == sweep[-1]["events_executed"]
-    print(f"ok: shards {SWEEP} -> digest {digests.pop()}, "
-          f"{sweep[-1]['events_executed']} events, "
-          f"{[row['epochs'] for row in sweep]} epochs per K")
+    print(f"ok: shards {SHARDS} -> digest {runs[0]['state_digest']}, "
+          f"{runs[0]['events_executed']} events, "
+          f"{[row['epochs'] for row in runs]} epochs per K")
     return 0
 
 

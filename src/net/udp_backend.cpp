@@ -55,12 +55,6 @@ std::int64_t get_i64(const std::byte* p) noexcept {
 
 }  // namespace
 
-bool udp_backend::later(const pending_delivery& a,
-                        const pending_delivery& b) noexcept {
-  if (a.deliver_at != b.deliver_at) return a.deliver_at > b.deliver_at;
-  return a.seq > b.seq;
-}
-
 udp_backend::udp_backend(transport& transport, sim::scheduler& sched,
                          const frame_codec& codec, config cfg)
     : transport_(transport), sched_(sched), codec_(codec), cfg_(cfg) {
@@ -166,38 +160,27 @@ void udp_backend::handle_datagram(std::span<const std::byte> data) {
     return;
   }
   const std::byte* p = data.data();
-  pending_delivery d;
-  d.from = get_u32(p + 0);
-  d.source = endpoint{ip_address{get_u32(p + 4)}, get_u32(p + 8)};
-  d.destination = endpoint{ip_address{get_u32(p + 12)}, get_u32(p + 16)};
-  d.deliver_at = get_i64(p + 20);
-  d.body = codec_.decode(data.subspan(envelope_bytes));
-  if (d.body == nullptr) {
+  const node_id from = get_u32(p + 0);
+  const endpoint source{ip_address{get_u32(p + 4)}, get_u32(p + 8)};
+  const endpoint destination{ip_address{get_u32(p + 12)}, get_u32(p + 16)};
+  sim::sim_time deliver_at = get_i64(p + 20);
+  payload_ptr body = codec_.decode(data.subspan(envelope_bytes));
+  if (body == nullptr) {
     ++stats_.decode_errors;
     return;
   }
-  if (d.deliver_at < sched_.now()) {
+  if (deliver_at < sched_.now()) {
     // The wall clock overran the latency stamp; deliver now and record
     // the jitter instead of time-traveling.
     ++stats_.late_deliveries;
-    d.deliver_at = sched_.now();
+    deliver_at = sched_.now();
   }
-  d.bytes = udp_header_bytes + d.body->wire_size();
-  d.seq = next_seq_++;
-  pending_.push_back(std::move(d));
-  std::push_heap(pending_.begin(), pending_.end(), later);
-}
-
-void udp_backend::flush_due(sim::sim_time t) {
-  while (!pending_.empty() && pending_.front().deliver_at <= t) {
-    std::pop_heap(pending_.begin(), pending_.end(), later);
-    pending_delivery d = std::move(pending_.back());
-    pending_.pop_back();
-    // May reentrantly ship() replies; sends are immediate, so that is
-    // safe mid-flush.
-    transport_.deliver_inbound(d.from, d.source, d.destination, d.body.get(),
-                               d.bytes);
-  }
+  const std::size_t bytes = udp_header_bytes + body->wire_size();
+  // The delivery may reentrantly ship() replies; sends are immediate.
+  sched_.at(deliver_at, [this, from, source, destination,
+                         body = std::move(body), bytes] {
+    transport_.deliver_inbound(from, source, destination, body.get(), bytes);
+  });
 }
 
 void udp_backend::run_until(sim::sim_time deadline) {
@@ -214,11 +197,10 @@ void udp_backend::run_until(sim::sim_time deadline) {
   };
   for (;;) {
     drain_sockets();
-    // The next thing due: a scheduler event (timers), a stamped
-    // delivery, or the deadline itself.
-    sim::sim_time next = std::min(deadline, sched_.next_event_time());
-    if (!pending_.empty()) next = std::min(next, pending_.front().deliver_at);
-    next = std::clamp(next, sched_.now(), deadline);
+    // The next thing due: a scheduler event (a timer or a received
+    // datagram's delivery), or the deadline itself.
+    sim::sim_time next =
+        std::clamp(sched_.next_event_time(), sched_.now(), deadline);
     // Pace: wait on the sockets until `next`'s wall image. Datagrams
     // arriving meanwhile can pull `next` earlier (a stamp between now
     // and the horizon).
@@ -233,13 +215,11 @@ void udp_backend::run_until(sim::sim_time deadline) {
               .count(),
           1, 20));
       ::poll(pollfds_.data(), pollfds_.size(), timeout_ms);
-      if (drain_sockets() && !pending_.empty() &&
-          pending_.front().deliver_at < next) {
-        next = std::max(pending_.front().deliver_at, sched_.now());
+      if (drain_sockets()) {
+        next = std::clamp(sched_.next_event_time(), sched_.now(), next);
       }
     }
     sched_.run_until(next);
-    flush_due(next);
     if (next >= deadline) return;
   }
 }

@@ -14,12 +14,13 @@
 // Time: simulated time is paced against the wall clock at
 // `config::time_scale` wall seconds per simulated second. The sender
 // stamps each envelope with the latency model's target delivery time;
-// the receiver holds the parsed datagram until the paced clock reaches
-// that stamp (real loopback transit, microseconds, hides inside the
-// simulated-latency floor). When the wall clock overruns a stamp —
-// scheduler bursts, a slow CI runner — the datagram delivers
-// immediately and `late_deliveries` counts the jitter, so runs degrade
-// gracefully instead of stalling.
+// the receiver turns the parsed datagram into a scheduler event at that
+// stamp, which runs once the paced clock reaches it (real loopback
+// transit, microseconds, hides inside the simulated-latency floor). When
+// the wall clock overruns a stamp — scheduler bursts, a slow CI runner —
+// the event is scheduled at the current simulated time instead and
+// `late_deliveries` counts the jitter, so runs degrade gracefully
+// instead of stalling.
 //
 // On a NAT rebind the node's fresh public IP gets a fresh socket; the
 // old socket stays open and keeps receiving, so packets addressed to
@@ -92,9 +93,9 @@ class udp_backend {
             sim::sim_time delay);
 
   /// Drives the simulation to `deadline`: alternates between draining
-  /// sockets, waiting (poll) until the next scheduler event or stamped
-  /// delivery comes due on the paced wall clock, executing it, and
-  /// releasing due datagrams to the transport. The wall anchor is
+  /// sockets (each datagram becomes a scheduler event), waiting (poll)
+  /// until the next scheduler event comes due on the paced wall clock,
+  /// and executing it. The wall anchor is
   /// re-established per call, so time spent between calls (probe
   /// evaluation, reporting) never counts as backlog.
   void run_until(sim::sim_time deadline);
@@ -112,26 +113,11 @@ class udp_backend {
     node_id owner = nil_node;
   };
 
-  /// A received datagram waiting for its stamped delivery time.
-  struct pending_delivery {
-    sim::sim_time deliver_at = 0;
-    std::uint64_t seq = 0;  ///< arrival order tiebreak
-    node_id from = nil_node;
-    endpoint source;
-    endpoint destination;
-    payload_ptr body;
-    std::size_t bytes = 0;
-  };
-
-  /// Min-heap comparator: the front is the earliest (deliver_at, seq).
-  static bool later(const pending_delivery& a,
-                    const pending_delivery& b) noexcept;
-
   /// recv()s every socket dry; returns true if anything arrived.
   bool drain_sockets();
+  /// Parses one datagram and schedules its delivery to the transport at
+  /// max(stamp, now).
   void handle_datagram(std::span<const std::byte> data);
-  /// Delivers every pending datagram stamped <= `t` to the transport.
-  void flush_due(sim::sim_time t);
 
   transport& transport_;
   sim::scheduler& sched_;
@@ -141,11 +127,6 @@ class udp_backend {
   std::vector<socket_entry> sockets_;
   std::vector<pollfd> pollfds_;  ///< parallel to sockets_
   util::flat_hash_map<std::uint32_t, std::uint32_t> by_sim_ip_;
-  /// Min-heap on (deliver_at, seq) via std::push_heap/pop_heap (the
-  /// payload handles are move-only, which rules out priority_queue's
-  /// const top()).
-  std::vector<pending_delivery> pending_;
-  std::uint64_t next_seq_ = 0;
   std::vector<std::byte> send_buf_;
 };
 

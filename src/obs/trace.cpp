@@ -1,8 +1,7 @@
 #include "obs/trace.h"
 
 #include <fstream>
-
-#include "util/log.h"
+#include <iostream>
 
 #if NYLON_OBS
 
@@ -277,13 +276,13 @@ namespace nylon::obs {
 bool write_trace_file(const std::string& path) {
   std::ofstream out(path);
   if (!out) {
-    NYLON_LOG_ERROR << "cannot open trace file " << path;
+    std::cerr << "cannot open trace file " << path << "\n";
     return false;
   }
   trace_to_json().dump(out, 0);
   out << "\n";
   if (!out) {
-    NYLON_LOG_ERROR << "failed writing trace file " << path;
+    std::cerr << "failed writing trace file " << path << "\n";
     return false;
   }
   return true;

@@ -35,7 +35,7 @@ void experiment_config::validate() const {
     // The conservative window is the latency floor; a zero floor would
     // allow same-epoch cross-shard causality. (lognormal clamps to 1 ms.)
     NYLON_EXPECTS(latency >= 1);
-    NYLON_EXPECTS(shards <= 1024);
+    NYLON_EXPECTS(shards <= max_shards);
   }
   NYLON_EXPECTS(udp_time_scale > 0.0);
   if (transport == transport_kind::udp) {

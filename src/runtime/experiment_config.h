@@ -62,8 +62,10 @@ struct experiment_config {
   /// K worker threads in lockstep epochs. Output is byte-identical for
   /// every K >= 1 (its own deterministic stream, distinct from the
   /// serial engine's — see DESIGN.md "Sharded determinism contract").
-  /// Requires a latency model with min_delay() >= 1 ms.
+  /// Requires a latency model with min_delay() >= 1 ms and K <=
+  /// max_shards.
   std::size_t shards = 0;
+  static constexpr std::size_t max_shards = 1024;
   /// Which carrier moves the datagrams (see transport_kind). `udp`
   /// requires shards == 0.
   transport_kind transport = transport_kind::sim;

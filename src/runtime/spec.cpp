@@ -1447,9 +1447,9 @@ util::json run_spec(const experiment_spec& spec, const spec_options& opt,
   for (const auto& [name, value] : plan.report_params) {
     report.param(name, value);
   }
-  // BENCH docs carry the transport so bench/trend.py can key trends on
-  // it (sim and udp numbers must never mix); omitted for plain sim
-  // runs, which trend.py reads as the default.
+  // BENCH docs carry the transport so a reader can tell udp numbers
+  // from sim ones (CI's udp-smoke gate asserts it); omitted for plain
+  // sim runs, the default.
   if (!spec.static_eval && plan.transport != transport_kind::sim) {
     report.add("transport", std::string(to_string(plan.transport)));
   }

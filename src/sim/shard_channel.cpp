@@ -10,13 +10,6 @@ void shard_channel::drain_into(std::vector<channel_event>& out) {
   events_.clear();
 }
 
-void canonical_sort(std::vector<channel_event>& events) {
-  std::sort(events.begin(), events.end(),
-            [](const channel_event& a, const channel_event& b) noexcept {
-              return canonical_less(a, b);
-            });
-}
-
 void canonical_merge_segments(std::vector<channel_event>& events,
                               std::vector<std::size_t>& bounds) {
   NYLON_EXPECTS(!bounds.empty() && bounds.front() == 0 &&

@@ -59,20 +59,17 @@ class alignas(64) shard_channel {
   std::vector<channel_event> events_;
 };
 
-/// Sorts events into the canonical cross-shard order:
-/// (at, order_a, order_b) ascending. The caller guarantees key
+/// Sorts `events` into the canonical cross-shard order, (at, order_a,
+/// order_b) ascending, given as `bounds.size() - 1` contiguous segments
+/// (`bounds` are the segment start offsets plus the end): each segment —
+/// one drained channel's FIFO batch in practice — is sorted in place,
+/// then adjacent segments are pairwise merged until one sorted run
+/// remains; k short almost-independent runs sort and merge cheaper than
+/// one cold global sort at barrier rates. The caller guarantees key
 /// uniqueness, so the result is a total order independent of the input
-/// permutation — the property shard determinism rests on.
-void canonical_sort(std::vector<channel_event>& events);
-
-/// Canonically sorts `events` given as `bounds.size() - 1` contiguous
-/// segments (`bounds` are the segment start offsets plus the end): each
-/// segment — one drained channel's FIFO batch in practice — is sorted in
-/// place, then adjacent segments are pairwise merged until one sorted
-/// run remains. Equivalent to canonical_sort, but k short
-/// almost-independent runs sort and merge cheaper than one cold global
-/// sort at barrier rates. `bounds` is consumed as merge scratch
-/// (contents unspecified afterwards; capacity kept for reuse).
+/// permutation and of the segmentation — the property shard determinism
+/// rests on. `bounds` is consumed as merge scratch (contents unspecified
+/// afterwards; capacity kept for reuse).
 void canonical_merge_segments(std::vector<channel_event>& events,
                               std::vector<std::size_t>& bounds);
 

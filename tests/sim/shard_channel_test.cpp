@@ -1,6 +1,6 @@
 // Cross-shard transfer ordering: channels preserve FIFO until drained,
-// the canonical sort is a total order on (at, order_a, order_b)
-// independent of input permutation, and the shard engine's barriers
+// the segmented canonical merge is a total order on (at, order_a,
+// order_b) independent of input permutation and segmentation, and the shard engine's barriers
 // schedule drained events into the destination exactly once, in
 // canonical order, never inside the conservative window.
 #include "sim/shard_channel.h"
@@ -42,7 +42,7 @@ TEST(shard_channel, drain_preserves_fifo_push_order) {
   EXPECT_EQ(ch.size(), 1u);
 }
 
-TEST(shard_channel, canonical_sort_is_permutation_independent) {
+TEST(shard_channel, canonical_merge_segments_is_permutation_independent) {
   std::vector<int> log;
   std::vector<channel_event> events;
   // Keys chosen so every comparison level matters: time first, then
@@ -52,28 +52,34 @@ TEST(shard_channel, canonical_sort_is_permutation_independent) {
   events.push_back(ev(10, 1, 1, &log, 2));
   events.push_back(ev(9, 99, 99, &log, 3));
   events.push_back(ev(11, 0, 0, &log, 4));
+  const std::size_t n = events.size();
 
-  std::vector<int> first_order;
   std::vector<channel_event> sorted;
-  for (std::size_t rotation = 0; rotation < events.size(); ++rotation) {
-    sorted.clear();
-    for (std::size_t i = 0; i < events.size(); ++i) {
-      const channel_event& src =
-          events[(i + rotation) % events.size()];
-      sorted.push_back(channel_event{src.at, src.order_a, src.order_b,
-                                     util::callback(nullptr)});
-    }
-    canonical_sort(sorted);
-    std::vector<int> keys;
-    for (const channel_event& e : sorted) {
-      keys.push_back(static_cast<int>(e.at * 100 + e.order_a * 10 +
-                                      e.order_b));
-    }
-    if (rotation == 0) {
-      first_order = keys;
-      EXPECT_EQ(keys.front(), 9 * 100 + 99 * 10 + 99);  // earliest time
-    } else {
-      EXPECT_EQ(keys, first_order) << "rotation " << rotation;
+  std::vector<std::size_t> bounds;
+  for (std::size_t rotation = 0; rotation < n; ++rotation) {
+    // Two segments (one pairwise merge) up to one per event (an odd
+    // segment carried over a merge round), as drained channels arrive.
+    for (std::size_t segments = 2; segments <= n; ++segments) {
+      sorted.clear();
+      for (std::size_t i = 0; i < n; ++i) {
+        const channel_event& src = events[(i + rotation) % n];
+        sorted.push_back(channel_event{src.at, src.order_a, src.order_b,
+                                       util::callback(nullptr)});
+      }
+      bounds.clear();
+      for (std::size_t s = 0; s <= segments; ++s) {
+        bounds.push_back(s * n / segments);
+      }
+      canonical_merge_segments(sorted, bounds);
+      std::vector<int> keys;
+      for (const channel_event& e : sorted) {
+        keys.push_back(static_cast<int>(e.at * 100 + e.order_a * 10 +
+                                        e.order_b));
+      }
+      // (9, 99, 99) first on time alone; then (10, 1, *) before
+      // (10, 2, 1) on sender, and (10, 1, 1) before (10, 1, 2).
+      EXPECT_EQ(keys, (std::vector<int>{1989, 1011, 1012, 1021, 1100}))
+          << "rotation " << rotation << ", " << segments << " segments";
     }
   }
 }
