@@ -29,16 +29,12 @@ if [ ! -x "$BUILD_DIR/nylon_exp" ]; then
 fi
 mkdir -p "$OUT_DIR"
 
-# Declarative studies: one spec file each, all executed by nylon_exp.
-SPEC_BENCHES="fig2_partition fig3_stale fig4_randomness fig7_bandwidth \
-fig8_load_balance fig9_rvp_chain fig10_churn table1_traversal \
-sec5_correctness ablation_protocols ablation_ttl latency_sensitivity \
-churn_recovery udp_smoke"
-
+# Declarative studies: every spec file, each executed by nylon_exp.
 status=0
-for spec in $SPEC_BENCHES; do
+for spec_file in "$SPEC_DIR"/*.json; do
+  spec="$(basename "$spec_file" .json)"
   echo "== $spec (spec) =="
-  if "$BUILD_DIR/nylon_exp" "$SPEC_DIR/$spec.json" \
+  if "$BUILD_DIR/nylon_exp" "$spec_file" \
       --json "$OUT_DIR/BENCH_${spec}.json" "$@" \
       > "$OUT_DIR/spec_${spec}.txt" 2>&1; then
     tail -n +1 "$OUT_DIR/spec_${spec}.txt" | head -5

@@ -96,7 +96,7 @@ struct probe_value {
 
 /// Everything a probe may look at. The oracle is built once per run and
 /// shared across all probes evaluated on the same scenario state. A
-/// world-free context (params only) serves "static" probes such as the
+/// world-free context (params only) serves world-free probes such as the
 /// packet-level traversal checks.
 struct probe_context {
   probe_context(runtime::scenario& world_in,
@@ -138,8 +138,9 @@ struct probe {
   std::string_view name;
   std::string_view description;
   probe_kind kind = probe_kind::scalar;
-  /// False when the probe evaluates without a simulated world ("static"
-  /// specs): it reads only ctx.params.
+  /// False when the probe evaluates without a simulated world: it reads
+  /// only ctx.params. A spec whose probe columns are all world-free
+  /// simulates nothing.
   bool needs_world = true;
   /// per_class probes: comma-separated class keys they emit, in order.
   std::string_view class_keys = {};

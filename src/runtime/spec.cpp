@@ -474,18 +474,16 @@ std::vector<std::string> strings_from_json(const util::json& j,
   return out;
 }
 
-/// Parses a "columns" (`shared` = false) or "probes" (`shared` = true)
-/// array. Both hold the same entries; only a per-column run may carry
-/// config overrides (`set`, or the `sweep` sugar that expands into one
-/// column per swept value, "{}" in the header becoming the value token).
-std::vector<spec_entry> entries_from_json(const util::json& j, bool shared) {
-  const char* what = shared ? "\"probes\"" : "\"columns\"";
+/// Parses the "columns" array. A probe column may carry config overrides
+/// (`set`, or the `sweep` sugar that expands into one column per swept
+/// value, "{}" in the header becoming the value token).
+std::vector<spec_entry> entries_from_json(const util::json& j) {
   if (!j.is_array() || j.size() == 0) {
-    bad(std::string(what) + " must be a non-empty array");
+    bad("\"columns\" must be a non-empty array");
   }
   std::vector<spec_entry> out;
   for (const util::json& c : j.array_items()) {
-    if (!c.is_object()) bad(std::string(what) + " entries must be objects");
+    if (!c.is_object()) bad("\"columns\" entries must be objects");
     spec_entry entry;
     entry.precision = precision_from_json(c);
     entry.header = string_from_json(c, "header");
@@ -516,15 +514,10 @@ std::vector<spec_entry> entries_from_json(const util::json& j, bool shared) {
       continue;
     }
 
-    if (shared) {
-      ensure_keys(c, {"probe", "header", "class", "stat", "precision"},
-                  "probe entry");
-    } else {
-      ensure_keys(c,
-                  {"sweep", "probe", "header", "class", "stat", "set",
-                   "precision"},
-                  "probe column");
-    }
+    ensure_keys(c,
+                {"sweep", "probe", "header", "class", "stat", "set",
+                 "precision"},
+                "probe column");
     const util::json* probe = c.find("probe");
     if (probe == nullptr || !probe->is_string()) {
       bad("probe entries need a \"probe\" name");
@@ -688,10 +681,9 @@ std::vector<std::string> default_timeline_columns() {
 experiment_spec spec_from_json(const util::json& doc) {
   ensure_keys(doc,
               {"name", "title", "preamble", "footer", "base", "split", "rows",
-               "columns", "probes", "checks", "verdict", "profiles",
-               "report_params", "warmup", "workload", "trajectories",
-               "trajectory_sample_periods", "timeline", "cells", "static",
-               "single_seed"},
+               "columns", "checks", "verdict", "profiles", "report_params",
+               "warmup", "workload", "trajectories",
+               "trajectory_sample_periods", "timeline", "single_seed"},
               "spec");
   experiment_spec spec;
   const util::json* name = doc.find("name");
@@ -733,13 +725,8 @@ experiment_spec spec_from_json(const util::json& doc) {
     spec.rows.push_back(axis_from_json(axis, true, "row axis"));
   }
   const util::json* columns = doc.find("columns");
-  const util::json* probes = doc.find("probes");
-  if ((columns == nullptr) == (probes == nullptr)) {
-    bad("exactly one of \"columns\" / \"probes\" is required");
-  }
-  spec.shared_run = probes != nullptr;
-  spec.columns = entries_from_json(spec.shared_run ? *probes : *columns,
-                                   spec.shared_run);
+  if (columns == nullptr) bad("spec needs a non-empty \"columns\" array");
+  spec.columns = entries_from_json(*columns);
   if (const util::json* checks = doc.find("checks")) {
     spec.checks = checks_from_json(*checks);
   }
@@ -757,8 +744,6 @@ experiment_spec spec_from_json(const util::json& doc) {
     spec.workload = *workload;
   }
   spec.trajectories = bool_from_json(doc, "trajectories");
-  spec.cells = bool_from_json(doc, "cells");
-  spec.static_eval = bool_from_json(doc, "static");
   spec.single_seed = bool_from_json(doc, "single_seed");
   if (const util::json* n = doc.find("trajectory_sample_periods")) {
     if (!n->is_int()) bad("\"trajectory_sample_periods\" must be an integer");
@@ -768,12 +753,10 @@ experiment_spec spec_from_json(const util::json& doc) {
     ensure_keys(*t, {"period_s", "probes"}, "timeline");
     spec.timeline.enabled = true;
     const util::json* period = t->find("period_s");
-    if (period == nullptr || (!period->is_int() && !period->is_double())) {
+    if (period == nullptr || !period->is_number()) {
       bad("\"timeline\" needs a numeric \"period_s\"");
     }
-    spec.timeline.period_s = period->is_int()
-                                 ? static_cast<double>(period->as_int())
-                                 : period->as_double();
+    spec.timeline.period_s = period->as_double();
     spec.timeline.probes = strings_from_json(*t, "probes");
   }
   spec.validate();
@@ -802,18 +785,18 @@ namespace {
 
 /// One planned cell: a run of one row (see `spec_plan::runs`) with its
 /// overrides resolved. A simulated cell is one universe per seed; a
-/// static spec's cell is one world-free evaluation of its `params`.
+/// world-free spec's cell is one evaluation of its `params`.
 struct spec_cell {
   experiment_config cfg;
-  /// The run's probe columns, in column order (a static cell's one
+  /// The run's probe columns, in column order (a world-free cell's one
   /// column may select a check probe).
   std::vector<metrics::probe_selector> sels;
   param_map params;
   /// The spec's workload with '$' variables resolved (unset without one).
   std::optional<workload::program> program;
-  /// `cells` mode: the row axes' and the column's numeric cell_key
-  /// values, in entry order (null otherwise).
-  util::json cell_keys;
+  /// Per selector, when the spec has a per-cell table: the row axes'
+  /// and that column's numeric cell_key values, in entry order.
+  std::vector<util::json> cell_keys;
 };
 
 /// One table: a split value's, or the single table of an unsplit spec.
@@ -834,6 +817,12 @@ struct spec_plan {
   std::vector<std::pair<std::string, util::json>> report_params;
   transport_kind transport = transport_kind::sim;  ///< the base config's
   bool capture_traj = false;  ///< per-seed trajectory capture
+  /// Every probe column's probe is world-free: nothing is simulated and
+  /// each column is evaluated on its own at render time.
+  bool world_free = false;
+  /// Some row axis or column sweep declares a cell_key: the report
+  /// carries the per-cell aggregate table under "cells".
+  bool cell_table = false;
   /// Resolved "checks"-list probes, in list order.
   std::vector<const metrics::probe*> check_probes;
   /// Sim-time health timeline (the spec's block, possibly force-enabled
@@ -843,9 +832,9 @@ struct spec_plan {
   double timeline_period_s = 0.0;
   std::vector<std::string> timeline_names;
   std::vector<timeline_column> timeline_cols;
-  /// The runs of a row: one per probe column, or one shared run for
-  /// all of them in "probes" mode (one per column in a static spec).
-  /// Each lists the column indices it fills.
+  /// The runs of a row: its probe columns grouped by equal `set`, in
+  /// first-appearance order (one per column in a world-free spec). Each
+  /// lists the column indices it fills.
   std::vector<std::vector<std::size_t>> runs;
   std::vector<spec_table> tables;
   std::vector<spec_cell> cells;
@@ -862,6 +851,8 @@ struct universe_result {
   /// The flight-recorder dump of this universe's own hops when one of
   /// its checks failed while `nylon_exp --msglog` armed the recorder.
   std::string msglog;
+  /// Wire-level telemetry when the universe ran on real UDP sockets.
+  std::optional<net::udp_backend::backend_stats> udp;
 };
 
 /// Simulates `cell` at one seed — its workload program when the spec has
@@ -943,6 +934,7 @@ void run_universe(const experiment_spec& spec, const spec_plan& plan,
   if (recorder.has_value()) {
     world.clear_sampler(scenario::sampler_timeline);
   }
+  if (const net::udp_backend* udp = world.udp()) slot.udp = udp->stats();
   const metrics::reachability_oracle oracle = world.oracle();
   metrics::probe_context ctx{world, oracle, window};
   ctx.params = cell.params;
@@ -1063,13 +1055,10 @@ spec_options effective_options(const experiment_spec& spec,
   *selected = nullptr;
   spec_options eff = opt;
   if (opt.profile.empty()) return eff;
-  for (const auto& [name, prof] : spec.profiles) {
-    if (name == opt.profile) {
-      *selected = &prof;
-      break;
-    }
-  }
-  if (*selected == nullptr) {
+  const auto found =
+      std::find_if(spec.profiles.begin(), spec.profiles.end(),
+                   [&](const auto& p) { return p.first == opt.profile; });
+  if (found == spec.profiles.end()) {
     std::string available;
     for (const auto& [name, prof] : spec.profiles) {
       (void)prof;
@@ -1080,7 +1069,8 @@ spec_options effective_options(const experiment_spec& spec,
         (available.empty() ? " (this spec declares no profiles)"
                            : " (available: " + available + ")"));
   }
-  const spec_profile& prof = **selected;
+  const spec_profile& prof = found->second;
+  *selected = &prof;
   if (prof.peers && !opt.peers_explicit) {
     eff.peers = static_cast<std::size_t>(*prof.peers);
   }
@@ -1101,7 +1091,8 @@ spec_options effective_options(const experiment_spec& spec,
 
 /// Long-form timeline CSV: one `cell,seed,t_s,<v>,...` line per sample.
 /// `cell` is the row labels joined with '/' (prefixed by the split
-/// table key, suffixed by ":<column>" in columns mode).
+/// table key, suffixed by ":<column>" when the row has more than one
+/// run).
 void write_timeline_csv(const std::string& path,
                         const std::vector<std::string>& columns,
                         const util::json& cells) {
@@ -1109,43 +1100,29 @@ void write_timeline_csv(const std::string& path,
   if (!file) {
     throw std::runtime_error("cannot write timeline CSV \"" + path + "\"");
   }
-  std::string header = "cell,seed,t_s";
-  for (const std::string& column : columns) {
-    header += ',';
-    header += column;
-  }
-  file << header << '\n';
-  const auto append_double = [](std::string& line, const util::json& v) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.10g",
-                  v.is_int() ? static_cast<double>(v.as_int())
-                             : v.as_double());
-    line += buf;
-  };
+  file << "cell,seed,t_s";
+  for (const std::string& column : columns) file << ',' << column;
+  file << '\n';
   for (const util::json& entry : cells.array_items()) {
     std::string label;
     if (const util::json* table = entry.find("table")) {
-      label += table->as_string();
-      label += '/';
+      label = table->as_string() + '/';
     }
     const util::json& row = entry.at("row");
     for (std::size_t i = 0; i < row.size(); ++i) {
-      if (i > 0) label += '/';
-      label += row.at(i).as_string();
+      label += (i > 0 ? "/" : "") + row.at(i).as_string();
     }
     if (const util::json* column = entry.find("column")) {
-      label += ':';
-      label += column->as_string();
+      label += ':' + column->as_string();
     }
     const util::json& per_seed = entry.at("per_seed");
     for (std::size_t s = 0; s < per_seed.size(); ++s) {
       for (const util::json& sample : per_seed.at(s).array_items()) {
-        std::string line = label;
-        line += ',';
-        line += std::to_string(s);
+        std::string line = label + ',' + std::to_string(s);
         for (const util::json& v : sample.array_items()) {
-          line += ',';
-          append_double(line, v);
+          char buf[32];
+          std::snprintf(buf, sizeof buf, ",%.10g", v.as_double());
+          line += buf;
         }
         line += '\n';
         file << line;
@@ -1222,12 +1199,50 @@ spec_plan plan_spec(const experiment_spec& spec, const spec_options& opt) {
     plan.check_probes.push_back(p);
   }
 
+  // Columns: each probe column resolves to one selector and joins a run.
+  // A spec whose probe columns are all world-free (the §2.2 table)
+  // simulates nothing and evaluates each column on its own; otherwise a
+  // row's probe columns group into runs by equal `set`, in
+  // first-appearance order. A probe reference is either a scalar-view
+  // selector (validated by metrics::resolve_selector, which owns the
+  // misuse messages) or a check probe, which renders verdict cells and
+  // is only legal in a world-free spec's columns or the "checks" list.
+  std::vector<metrics::probe_selector> selectors(spec.columns.size());
+  plan.world_free = true;
+  for (std::size_t j = 0; j < spec.columns.size(); ++j) {
+    const spec_entry& col = spec.columns[j];
+    if (col.k != spec_entry::kind::probe) continue;
+    selectors[j].p = metrics::find_probe(col.probe);
+    if (selectors[j].p == nullptr) bad("unknown probe \"" + col.probe + "\"");
+    plan.world_free = plan.world_free && !selectors[j].p->needs_world;
+  }
+  plan.cell_table =
+      std::any_of(spec.rows.begin(), spec.rows.end(),
+                  [](const spec_axis& a) { return !a.cell_key.empty(); }) ||
+      std::any_of(spec.columns.begin(), spec.columns.end(),
+                  [](const spec_entry& c) { return !c.cell_key.empty(); });
+  const bool has_ratio = std::any_of(
+      spec.columns.begin(), spec.columns.end(),
+      [](const spec_entry& c) { return c.k == spec_entry::kind::ratio; });
+  for (const auto& [present, key] :
+       std::initializer_list<std::pair<bool, const char*>>{
+           {spec.split.has_value(), "split"}, {!spec.checks.empty(), "checks"},
+           {spec.workload.has_value(), "workload"},
+           {!spec.warmup.empty(), "warmup"}, {spec.single_seed, "single_seed"},
+           {spec.timeline.enabled, "timeline"}, {plan.cell_table, "cell_key"},
+           {has_ratio, "ratio"}}) {
+    if (plan.world_free && present) {
+      bad(std::string("every probe column is world-free, so nothing is "
+                      "simulated or seeded: drop \"") + key + "\"");
+    }
+  }
+
   // Effective timeline: the spec's own block, force-enabled by
   // --timeline (default passive columns when the spec declares none),
-  // period overridable by --timeline-period. A static spec has no sim
-  // time to sample.
+  // period overridable by --timeline-period. A world-free spec has no
+  // sim time to sample.
   spec_timeline tl = spec.timeline;
-  if (eff.timeline && !tl.enabled && !spec.static_eval) {
+  if (eff.timeline && !tl.enabled && !plan.world_free) {
     tl.enabled = true;
     tl.probes = default_timeline_columns();
     tl.period_s = 5.0;
@@ -1242,20 +1257,10 @@ spec_plan plan_spec(const experiment_spec& spec, const spec_options& opt) {
     plan.timeline_cols.push_back(resolve_timeline_column(token));
   }
 
-  // Columns: each probe column resolves to one selector and joins a run.
-  // A probe reference is either a scalar-view selector (validated by
-  // metrics::resolve_selector, which owns the misuse messages) or a
-  // check probe, which renders verdict cells and is only legal in a
-  // static spec's columns or the "checks" list.
-  std::vector<metrics::probe_selector> selectors(spec.columns.size());
   bool has_check_cells = !spec.checks.empty();
   for (std::size_t j = 0; j < spec.columns.size(); ++j) {
     const spec_entry& col = spec.columns[j];
     if (col.k == spec_entry::kind::ratio) {
-      if (spec.static_eval) {
-        bad("ratio columns need seed aggregates; they cannot run in a "
-            "\"static\" spec");
-      }
       const auto in_range = [&](int i) {
         return i >= 0 && static_cast<std::size_t>(i) < j &&
                spec.columns[static_cast<std::size_t>(i)].k ==
@@ -1267,38 +1272,32 @@ spec_plan plan_spec(const experiment_spec& spec, const spec_options& opt) {
       }
     }
     if (col.k != spec_entry::kind::probe) continue;
-    if (spec.shared_run && !col.set.empty()) {
-      bad("column \"" + col.header +
-          "\" sets config, but \"probes\" share one run per row");
-    }
-    const metrics::probe* p = metrics::find_probe(col.probe);
-    if (p == nullptr) bad("unknown probe \"" + col.probe + "\"");
-    if (spec.static_eval && p->needs_world) {
-      bad("probe \"" + col.probe +
-          "\" needs a simulated world; it cannot run in a \"static\" spec");
-    }
-    if (p->kind != metrics::probe_kind::check) {
+    if (selectors[j].p->kind != metrics::probe_kind::check) {
       selectors[j] = metrics::resolve_selector(col.probe, col.cls, col.stat);
+    } else if (!plan.world_free) {
+      bad("check probe \"" + col.probe +
+          "\" in a column needs a world-free spec or the \"checks\" list");
+    } else if (!col.cls.empty() || !col.stat.empty()) {
+      bad("check probe \"" + col.probe +
+          "\" takes neither \"class\" nor \"stat\"");
     } else {
-      if (!spec.static_eval) {
-        bad("check probe \"" + col.probe +
-            "\" in a column needs a \"static\" spec or the \"checks\" list");
-      }
-      if (!col.cls.empty() || !col.stat.empty()) {
-        bad("check probe \"" + col.probe +
-            "\" takes neither \"class\" nor \"stat\"");
-      }
-      selectors[j].p = p;
       has_check_cells = true;
     }
-    if (plan.runs.empty() || !spec.shared_run || spec.static_eval) {
-      plan.runs.emplace_back();
-    }
-    plan.runs.back().push_back(j);
+    auto run = std::find_if(
+        plan.runs.begin(), plan.runs.end(),
+        [&](const std::vector<std::size_t>& r) {
+          return !plan.world_free && spec.columns[r.front()].set == col.set;
+        });
+    if (run == plan.runs.end()) run = plan.runs.emplace(run);
+    run->push_back(j);
+  }
+  if (!spec.checks.empty() && plan.runs.size() != 1) {
+    bad("\"checks\" need one run per row: give every probe column the "
+        "same \"set\"");
   }
   if (spec.verdict.has_value() && !has_check_cells) {
     bad("\"verdict\" needs check probes (a \"checks\" list or check "
-        "columns in a static spec)");
+        "columns in a world-free spec)");
   }
 
   // Base settings: driver options first, then the spec's own overrides.
@@ -1329,27 +1328,29 @@ spec_plan plan_spec(const experiment_spec& spec, const spec_options& opt) {
     for_each_row(spec.rows, [&](const std::vector<std::size_t>& index) {
       cell_settings row = split;
       std::vector<std::string>& labels = table.rows.emplace_back();
-      util::json row_keys = spec.cells ? util::json::object() : util::json();
+      util::json row_keys = util::json::object();
       for (std::size_t a = 0; a < spec.rows.size(); ++a) {
         const spec_axis& axis = spec.rows[a];
         const std::string& token = axis.values[index[a]];
         labels.push_back(row.apply(axis.key, token));
-        if (spec.cells && !axis.cell_key.empty()) {
+        if (plan.cell_table && !axis.cell_key.empty()) {
           row_keys[axis.cell_key] = var_value(var_numeric(axis.key, token));
         }
       }
       for (const std::vector<std::size_t>& run : plan.runs) {
+        // The run's columns share one `set`: apply it once.
         cell_settings settings = row;
+        for (const auto& [key, token] : spec.columns[run.front()].set) {
+          (void)settings.apply(key, token);
+        }
         spec_cell& cell = plan.cells.emplace_back();
-        cell.cell_keys = row_keys;
         for (const std::size_t j : run) {
           const spec_entry& col = spec.columns[j];
-          for (const auto& [key, token] : col.set) {
-            (void)settings.apply(key, token);
-          }
           cell.sels.push_back(selectors[j]);
-          if (spec.cells && !col.cell_key.empty()) {
-            cell.cell_keys[col.cell_key] =
+          if (!plan.cell_table) continue;
+          util::json& keys = cell.cell_keys.emplace_back(row_keys);
+          if (!col.cell_key.empty()) {
+            keys[col.cell_key] =
                 var_value(var_numeric(col.cell_key, col.cell_token));
           }
         }
@@ -1376,24 +1377,8 @@ void experiment_spec::validate() const {
   if (rows.empty()) bad("at least one row axis is required");
   if (columns.empty()) bad("at least one column is required");
   if (split.has_value()) {
-    if (static_eval) bad("\"split\" is not supported in a static spec");
     if (split->axis.values.empty()) bad("split axis needs values");
     if (split->table_key.empty()) bad("split needs a \"table_key\"");
-  }
-  if (!checks.empty()) {
-    if (static_eval) {
-      bad("a static spec carries its checks as columns; drop the "
-          "\"checks\" list");
-    }
-    if (!shared_run) bad("\"checks\" ride the shared run of \"probes\" mode");
-  }
-  if (static_eval) {
-    if (workload.has_value()) bad("a \"static\" spec cannot have a workload");
-    if (!warmup.empty()) bad("a \"static\" spec cannot have a warmup");
-    if (cells) bad("\"cells\" needs seed aggregates (non-static specs)");
-    if (single_seed) {
-      bad("\"single_seed\" is meaningless in a \"static\" spec");
-    }
   }
   for (std::size_t i = 0; i < profiles.size(); ++i) {
     for (std::size_t j = i + 1; j < profiles.size(); ++j) {
@@ -1402,7 +1387,6 @@ void experiment_spec::validate() const {
       }
     }
   }
-  if (cells && shared_run) bad("\"cells\" requires \"columns\" mode");
   if (workload.has_value()) {
     if (!warmup.empty()) {
       bad("\"warmup\" has no effect with a \"workload\" (the program "
@@ -1415,9 +1399,6 @@ void experiment_spec::validate() const {
     bad("\"trajectory_sample_periods\" must be >= 0");
   }
   if (timeline.enabled) {
-    if (static_eval) {
-      bad("a \"static\" spec has no sim time; drop \"timeline\"");
-    }
     if (timeline.period_s <= 0) {
       bad("\"timeline\" needs a positive \"period_s\"");
     }
@@ -1450,7 +1431,7 @@ util::json run_spec(const experiment_spec& spec, const spec_options& opt,
   // BENCH docs carry the transport so a reader can tell udp numbers
   // from sim ones (CI's udp-smoke gate asserts it); omitted for plain
   // sim runs, the default.
-  if (!spec.static_eval && plan.transport != transport_kind::sim) {
+  if (!plan.world_free && plan.transport != transport_kind::sim) {
     report.add("transport", std::string(to_string(plan.transport)));
   }
 
@@ -1458,7 +1439,7 @@ util::json run_spec(const experiment_spec& spec, const spec_options& opt,
   // a cell is derive_seed(seed, s); each universe fills its own slot.
   const auto seeds = static_cast<std::size_t>(eff.seeds);
   std::vector<universe_result> results;
-  if (!spec.static_eval && !plan.cells.empty()) {
+  if (!plan.world_free && !plan.cells.empty()) {
     const int tasks = static_cast<int>(plan.cells.size() * seeds);
     results.resize(plan.cells.size() * seeds);
     parallel_for(
@@ -1469,9 +1450,32 @@ util::json run_spec(const experiment_spec& spec, const spec_options& opt,
           net::release_thread_payloads();
         });
   }
+  // Real-socket runs report their wire-level telemetry, summed over
+  // every universe (CI's udp-smoke gate reads it).
+  if (std::any_of(results.begin(), results.end(),
+                  [](const universe_result& r) { return r.udp.has_value(); })) {
+    using stats = net::udp_backend::backend_stats;
+    util::json udp = util::json::object();
+    for (const auto& [name, field] :
+         std::initializer_list<std::pair<const char*, std::uint64_t stats::*>>{
+             {"datagrams_sent", &stats::datagrams_sent},
+             {"datagrams_received", &stats::datagrams_received},
+             {"real_bytes_sent", &stats::real_bytes_sent},
+             {"decode_errors", &stats::decode_errors},
+             {"late_deliveries", &stats::late_deliveries},
+             {"no_route", &stats::no_route},
+             {"send_failures", &stats::send_failures}}) {
+      std::uint64_t total = 0;
+      for (const universe_result& r : results) {
+        if (r.udp.has_value()) total += (*r.udp).*field;
+      }
+      udp[name] = total;
+    }
+    report.add("udp", std::move(udp));
+  }
 
   // Render: tables, cells, checks and series from the slots, in plan
-  // order; a static spec evaluates its cells here.
+  // order; a world-free spec evaluates its cells here.
   print_preamble(spec, eff, out);
   util::json checks_json = util::json::array();
   bool checks_passed = true;
@@ -1506,25 +1510,6 @@ util::json run_spec(const experiment_spec& spec, const spec_options& opt,
         for (const std::string& label : row_labels) labels.push_back(label);
         entry["row"] = std::move(labels);
         return entry;
-      };
-
-      /// `cells` mode: one entry per probe column, carrying the cell's
-      /// cell_key values plus the full multi-seed aggregate.
-      const auto record_cell = [&](const spec_cell& cell,
-                                   const spec_entry& col,
-                                   const seed_aggregate& agg) {
-        util::json& entry = cells_json.push_back(util::json::object());
-        if (!table_key.empty()) entry["table"] = table_key;
-        for (const auto& [key, value] : cell.cell_keys.object_items()) {
-          entry[key] = value;
-        }
-        std::string metric_key = col.probe;
-        if (!col.cls.empty()) {
-          metric_key += "." + col.cls;
-        } else if (!col.stat.empty()) {
-          metric_key += "." + col.stat;
-        }
-        entry[metric_key] = workload::to_json(agg);
       };
 
       /// Records a cell's per-seed captures: check verdicts, then the
@@ -1581,7 +1566,7 @@ util::json run_spec(const experiment_spec& spec, const spec_options& opt,
       for (const std::vector<std::size_t>& run : plan.runs) {
         const std::size_t c = next_cell++;
         const spec_cell& cell = plan.cells[c];
-        if (spec.static_eval) {
+        if (plan.world_free) {
           // Check cells render their check_result::cell and record a
           // verdict entry.
           const spec_entry& col = spec.columns[run.front()];
@@ -1606,11 +1591,13 @@ util::json run_spec(const experiment_spec& spec, const spec_options& opt,
         const std::span<universe_result> per_seed(results.data() + c * seeds,
                                                   seeds);
         if (plan.capturing()) {
+          // A series names its run's first column when the row has more
+          // than one run.
           record_captures(per_seed,
-                          spec.shared_run
-                              ? std::string()
-                              : subst_views(spec.columns[run.front()].header,
-                                            eff));
+                          plan.runs.size() > 1
+                              ? subst_views(spec.columns[run.front()].header,
+                                            eff)
+                              : std::string());
         }
         for (std::size_t k = 0; k < run.size(); ++k) {
           const spec_entry& col = spec.columns[run[k]];
@@ -1619,7 +1606,18 @@ util::json run_spec(const experiment_spec& spec, const spec_options& opt,
             agg.values.push_back(r.values[k]);
           }
           agg.stats = util::summarize(agg.values);
-          if (spec.cells) record_cell(cell, col, agg);
+          if (plan.cell_table) {
+            // The per-cell table: the column's cell_key values plus the
+            // full multi-seed aggregate under its selector's name.
+            util::json& entry = cells_json.push_back(util::json::object());
+            if (!table_key.empty()) entry["table"] = table_key;
+            for (const auto& [key, value] : cell.cell_keys[k].object_items()) {
+              entry[key] = value;
+            }
+            const std::string& part = col.cls.empty() ? col.stat : col.cls;
+            entry[part.empty() ? col.probe : col.probe + "." + part] =
+                workload::to_json(agg);
+          }
           means[run[k]] = agg.stats.mean;
           cells[run[k]] = fmt(means[run[k]], col.precision);
         }
@@ -1650,7 +1648,7 @@ util::json run_spec(const experiment_spec& spec, const spec_options& opt,
     }
   }
 
-  if (spec.cells) report.add("cells", std::move(cells_json));
+  if (plan.cell_table) report.add("cells", std::move(cells_json));
   if (plan.capture_traj && trajectories.size() > 0) {
     report.add("trajectories", std::move(trajectories));
   }

@@ -12,9 +12,15 @@
 //
 // Probe taxonomy (metrics::probe): scalar probes fill cells directly;
 // per_class probes need a "class" key, distribution probes a "stat";
-// check probes render verdict cells in static specs or ride a "checks"
-// list, with verdicts emitted under "checks" in the BENCH json and an
-// optional pass/fail "verdict" line on stdout.
+// check probes render verdict cells in world-free specs or ride a
+// "checks" list, with verdicts emitted under "checks" in the BENCH json
+// and an optional pass/fail "verdict" line on stdout.
+//
+// A spec has one "columns" list. The probe columns of a row group into
+// runs by equal `set`, in first-appearance order; each run is one
+// universe per seed. A spec whose probe columns are all world-free
+// (needs_world == false: the §2.2 traversal table) simulates nothing
+// and evaluates each column on its own.
 #pragma once
 
 #include <cstdint>
@@ -49,11 +55,12 @@ struct spec_axis {
   std::string header;               ///< row-label column header
   std::vector<std::string> values;  ///< raw tokens ("40", "$view_a", "nylon")
   /// When set, the axis contributes a `cell_key: <numeric value>` field
-  /// to each entry of the per-cell aggregate table (`cells` mode).
+  /// to each entry of the per-cell aggregate table, which any cell_key
+  /// in the spec turns on.
   std::string cell_key;
 };
 
-/// One table column, in either mode, and one "checks" list entry: a
+/// One table column and one "checks" list entry: a
 /// probe cell, a ratio of two earlier probe columns' seed means (Fig. 7's
 /// Nylon/reference, Fig. 8's public/natted) or an echo of the first row
 /// label (Fig. 4's "uniform (ideal)").
@@ -63,8 +70,8 @@ struct spec_entry {
   /// Column header (may reference $view_a / $view_b); a check's report
   /// label. Defaults to the probe name.
   std::string header;
-  /// Config overrides for this column ("columns" mode only: a shared
-  /// run has one config per row).
+  /// Config overrides for this column; probe columns with an equal
+  /// `set` share one run per row.
   std::vector<spec_setting> set;
   std::string probe;     ///< probe name (kind::probe)
   std::string cls;       ///< per_class selection ("class")
@@ -72,7 +79,7 @@ struct spec_entry {
   int ratio_num = -1;    ///< numerator column index (kind::ratio)
   int ratio_den = -1;    ///< denominator column index
   int precision = 1;     ///< table cell decimals
-  /// `cells` mode: the column's contribution to each cell entry (a sweep
+  /// The column's contribution to each per-cell entry (a sweep
   /// column's axis `cell_key` + value token).
   std::string cell_key;
   std::string cell_token;
@@ -137,13 +144,10 @@ struct experiment_spec {
   std::vector<spec_setting> base;    ///< config overrides under every cell
   std::optional<spec_split> split;
   std::vector<spec_axis> rows;       ///< cartesian row axes, outer first
-  /// The table columns after the row labels ("columns" or "probes").
+  /// The table columns after the row labels.
   std::vector<spec_entry> columns;
-  /// "probes" mode: every probe column of a row rides one shared
-  /// scenario run. Otherwise ("columns" mode) each probe column is its
-  /// own multi-seed sweep under its `set` overrides.
-  bool shared_run = false;
-  /// Check probes evaluated on each row's shared run ("probes" mode).
+  /// Check probes evaluated on each row's one run (every probe column
+  /// has the same `set`).
   std::vector<spec_entry> checks;
   std::optional<spec_verdict> verdict;
   /// Named override sets selectable with --profile.
@@ -154,14 +158,6 @@ struct experiment_spec {
   /// where $var is a builtin workload variable ($rounds, $half_rounds,
   /// or a profile-defined variable).
   std::vector<std::string> report_params;
-  /// Emit a per-cell aggregate table under "cells" in the JSON report
-  /// (columns mode): one entry per (row, probe-column) cell carrying the
-  /// axes' `cell_key` values plus the full multi-seed aggregate — the
-  /// Fig. 10 per-cell form.
-  bool cells = false;
-  /// No simulation at all: every cell is a world-free probe evaluation
-  /// (probes with needs_world == false — the §2.2 traversal table).
-  bool static_eval = false;
   /// One derived seed per cell (derive_seed(seed, 0)); --seeds is
   /// ignored and the preamble echoes seeds=1.
   bool single_seed = false;
@@ -180,13 +176,13 @@ struct experiment_spec {
   /// Sim-time health timeline (see spec_timeline).
   spec_timeline timeline;
 
-  /// Checks the structural rules (required parts, mode and static/check
-  /// constraints, duplicate profiles), then plans the spec at default
-  /// spec_options: the same resolution run_spec executes, so every
-  /// axis key and value, probe selector, ratio reference, warmup
-  /// literal, report param, timeline column and per-cell workload
-  /// program is checked. Builds no universe. Throws
-  /// nylon::contract_error.
+  /// Checks the structural rules (required parts, workload/warmup and
+  /// timeline constraints, duplicate profiles), then plans the spec at
+  /// default spec_options: the same resolution run_spec executes, so
+  /// every axis key and value, probe selector, ratio reference, warmup
+  /// literal, report param, timeline column, per-cell workload program
+  /// and the rules a world-free spec or a "checks" list impose are
+  /// checked. Builds no universe. Throws nylon::contract_error.
   void validate() const;
 };
 

@@ -67,7 +67,8 @@ TEST(spec_equivalence, fig3_stale) {
 }
 
 /// fig4 also carries the randomness-battery columns (runs / serial /
-/// birthday-spacings over the sampled-id stream).
+/// birthday-spacings over the sampled-id stream), which share one run
+/// per row with the Nylon composition column (equal `set`).
 TEST(spec_equivalence, fig4_randomness) {
   expect_digests("fig4_randomness", 1, "af4ea29c3eba9b3e",
                  "240346f2262f4d1a");
@@ -93,7 +94,8 @@ TEST(spec_equivalence, ablation_ttl) {
                  "975829d593abf498");
 }
 
-/// fig8 exercises the per_class probe + probes-mode ratio entry, fig9
+/// fig8 exercises the per_class probe + a ratio entry on one shared run
+/// per row, fig9
 /// the distribution probe's "mean" stat in sweep columns.
 TEST(spec_equivalence, fig8_load_balance) {
   expect_digests("fig8_load_balance", 2, "77a1cfd418957e4d",
@@ -105,7 +107,7 @@ TEST(spec_equivalence, fig9_rvp_chain) {
                  "d3d55c31dc624f10");
 }
 
-/// table1 is a static spec (no simulation; '%' NAT-type axes into the
+/// table1 is a world-free spec (no simulation; '%' NAT-type axes into the
 /// check probe) with a literal preamble; sec5 a single_seed spec (one
 /// derived seed per cell) whose JSON carries the check verdicts.
 TEST(spec_equivalence, table1_traversal) {
@@ -119,10 +121,10 @@ TEST(spec_equivalence, sec5_correctness) {
 }
 
 /// Running a spec's universes on one pool must not change a single byte
-/// either, for every spec shape: split tables in columns mode (fig2), a
-/// workload with "cells" (fig10), probes mode (fig3), single_seed rows
-/// with checks (sec5), trajectories plus a timeline (churn_recovery)
-/// and a static spec (table1).
+/// either, for every spec shape: split tables (fig2), a workload with a
+/// per-cell table (fig10), one run per column (fig3), single_seed rows
+/// with checks on one shared run (sec5), trajectories plus a timeline
+/// (churn_recovery) and a world-free spec (table1).
 TEST(spec_equivalence, parallel_execution_is_byte_identical) {
   for (const char* name : {"fig3_stale", "fig2_partition", "fig10_churn",
                            "sec5_correctness", "churn_recovery",

@@ -292,5 +292,44 @@ TEST(probe_registry, battery_probes_share_one_stream_per_context) {
   EXPECT_LE(serial, 1.0);
 }
 
+/// Probe columns that share a spec run evaluate on one context, one
+/// after another; that is only sound when a non-passive probe reads the
+/// same value after another one ran as it does alone. Every such probe
+/// draws from the one battery cached on its context, which is what
+/// keeps the pairs below equal.
+TEST(probe_registry, non_passive_probes_agree_after_one_another) {
+  const auto fresh_context_eval = [](const probe* first, const probe& p) {
+    runtime::scenario world(small_config(core::protocol_kind::nylon));
+    world.run_periods(10);
+    const reachability_oracle oracle = world.oracle();
+    const probe_context ctx{world, oracle,
+                            10 * world.config().gossip.shuffle_period};
+    if (first != nullptr) (void)first->run(ctx);
+    return p.run(ctx);
+  };
+  std::vector<const probe*> non_passive;
+  for (const probe& p : all_probes()) {
+    if (!p.passive && p.needs_world) non_passive.push_back(&p);
+  }
+  ASSERT_GE(non_passive.size(), 5u);  // the sample_* battery + its check
+  for (const probe* b : non_passive) {
+    const probe_value alone = fresh_context_eval(nullptr, *b);
+    for (const probe* a : non_passive) {
+      SCOPED_TRACE(std::string(b->name) + " after " + std::string(a->name));
+      const probe_value after = fresh_context_eval(a, *b);
+      ASSERT_EQ(after.kind, alone.kind);
+      if (alone.kind == probe_kind::check) {
+        EXPECT_EQ(after.check.passed, alone.check.passed);
+        EXPECT_EQ(after.check.detail, alone.check.detail);
+      } else {
+        EXPECT_EQ(after.scalar, alone.scalar);
+        EXPECT_EQ(after.classes, alone.classes);
+        EXPECT_EQ(after.dist.count, alone.dist.count);
+        EXPECT_EQ(after.dist.mean, alone.dist.mean);
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace nylon::metrics

@@ -61,7 +61,7 @@ TEST(obs_timeline, csv_is_long_form_with_cell_and_seed) {
         "title": "timeline CSV",
         "rows": [{"axis": "natted_pct", "header": "%NAT",
                   "values": [0, 50]}],
-        "probes": [{"probe": "alive_count"}],
+        "columns": [{"probe": "alive_count"}],
         "timeline": {"period_s": 2.5,
                      "probes": ["alive_count", "drop_count.total"]}
       })"));

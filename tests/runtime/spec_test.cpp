@@ -26,7 +26,7 @@ const char* kMinimalSpec = R"({
   "name": "mini",
   "title": "a tiny study",
   "rows": [{"axis": "natted_pct", "header": "%NAT", "values": [0, 50]}],
-  "probes": [{"probe": "stale_pct", "header": "stale %"}]
+  "columns": [{"probe": "stale_pct", "header": "stale %"}]
 })";
 
 TEST(experiment_spec, parses_a_minimal_spec) {
@@ -35,7 +35,6 @@ TEST(experiment_spec, parses_a_minimal_spec) {
   ASSERT_EQ(spec.rows.size(), 1u);
   EXPECT_EQ(spec.rows[0].key, "natted_pct");
   EXPECT_EQ(spec.rows[0].values, (std::vector<std::string>{"0", "50"}));
-  EXPECT_TRUE(spec.shared_run);
   ASSERT_EQ(spec.columns.size(), 1u);
   EXPECT_EQ(spec.columns[0].probe, "stale_pct");
 }
@@ -45,7 +44,7 @@ TEST(experiment_spec, range_sugar_expands_inclusively) {
     "name": "r",
     "rows": [{"axis": "natted_pct", "header": "%NAT",
               "range": {"from": 0, "to": 100, "step": 25}}],
-    "probes": [{"probe": "stale_pct"}]
+    "columns": [{"probe": "stale_pct"}]
   })");
   EXPECT_EQ(spec.rows[0].values,
             (std::vector<std::string>{"0", "25", "50", "75", "100"}));
@@ -72,45 +71,49 @@ TEST(experiment_spec, column_sweep_sugar_expands_headers_and_sets) {
 TEST(experiment_spec, bad_inputs_throw_contract_errors) {
   // name missing
   EXPECT_THROW(parse(R"({"rows":[{"axis":"natted_pct","header":"x",
-    "values":[1]}],"probes":[{"probe":"stale_pct"}]})"),
+    "values":[1]}],"columns":[{"probe":"stale_pct"}]})"),
                contract_error);
   // no rows
-  EXPECT_THROW(parse(R"({"name":"x","probes":[{"probe":"stale_pct"}]})"),
+  EXPECT_THROW(parse(R"({"name":"x","columns":[{"probe":"stale_pct"}]})"),
                contract_error);
-  // both columns and probes
-  EXPECT_THROW(parse(R"({"name":"x",
-    "rows":[{"axis":"natted_pct","header":"h","values":[1]}],
-    "probes":[{"probe":"stale_pct"}],
-    "columns":[{"header":"c","probe":"stale_pct"}]})"),
-               contract_error);
+  // the retired mode keys are unknown keys: the runner derives shared
+  // runs, world-free evaluation and the per-cell table from the spec
+  for (const char* retired : {R"("probes":[{"probe":"stale_pct"}])",
+                              R"("static":true)", R"("cells":true)"}) {
+    EXPECT_THROW(parse(std::string(R"({"name":"x",
+      "rows":[{"axis":"natted_pct","header":"h","values":[1]}],
+      "columns":[{"probe":"stale_pct"}],)") + retired + "}"),
+                 contract_error)
+        << retired;
+  }
   // unknown probe
   EXPECT_THROW(parse(R"({"name":"x",
     "rows":[{"axis":"natted_pct","header":"h","values":[1]}],
-    "probes":[{"probe":"not_a_probe"}]})"),
+    "columns":[{"probe":"not_a_probe"}]})"),
                contract_error);
   // unknown axis key
   EXPECT_THROW(parse(R"({"name":"x",
     "rows":[{"axis":"coolness","header":"h","values":[1]}],
-    "probes":[{"probe":"stale_pct"}]})"),
+    "columns":[{"probe":"stale_pct"}]})"),
                contract_error);
   // unknown top-level key (typo safety)
   EXPECT_THROW(parse(R"({"name":"x","colums":[],
     "rows":[{"axis":"natted_pct","header":"h","values":[1]}],
-    "probes":[{"probe":"stale_pct"}]})"),
+    "columns":[{"probe":"stale_pct"}]})"),
                contract_error);
   // a count with no size_t value (the cast would be undefined)
   for (const char* count : {"1e300", "18446744073709551616", "1e20"}) {
     EXPECT_THROW(parse(std::string(R"({"name":"x","base":{"peers":)") +
                        count + R"(},
       "rows":[{"axis":"natted_pct","header":"h","values":[1]}],
-      "probes":[{"probe":"stale_pct"}]})"),
+      "columns":[{"probe":"stale_pct"}]})"),
                  contract_error)
         << count;
   }
   // natted_pct out of range
   EXPECT_THROW(parse(R"({"name":"x",
     "rows":[{"axis":"natted_pct","header":"h","values":[150]}],
-    "probes":[{"probe":"stale_pct"}]})"),
+    "columns":[{"probe":"stale_pct"}]})"),
                contract_error);
   // ratio referencing a later column
   EXPECT_THROW(parse(R"({"name":"x",
@@ -121,46 +124,36 @@ TEST(experiment_spec, bad_inputs_throw_contract_errors) {
   // bad warmup literal
   EXPECT_THROW(parse(R"({"name":"x","warmup":"soon",
     "rows":[{"axis":"natted_pct","header":"h","values":[1]}],
-    "probes":[{"probe":"stale_pct"}]})"),
+    "columns":[{"probe":"stale_pct"}]})"),
                contract_error);
   // trajectories without a workload
   EXPECT_THROW(parse(R"({"name":"x","trajectories":true,
     "rows":[{"axis":"natted_pct","header":"h","values":[1]}],
-    "probes":[{"probe":"stale_pct"}]})"),
+    "columns":[{"probe":"stale_pct"}]})"),
                contract_error);
   // warmup is meaningless (and silently ignored) under a workload
   EXPECT_THROW(parse(R"({"name":"x","warmup":"half",
     "rows":[{"axis":"natted_pct","header":"h","values":[1]}],
-    "probes":[{"probe":"stale_pct"}],
+    "columns":[{"probe":"stale_pct"}],
     "workload":{"phases":[{"kind":"steady","periods":2}]}})"),
                contract_error);
   // malformed workload phase
   EXPECT_THROW(parse(R"({"name":"x",
     "rows":[{"axis":"natted_pct","header":"h","values":[1]}],
-    "probes":[{"probe":"stale_pct"}],
+    "columns":[{"probe":"stale_pct"}],
     "workload":{"phases":[{"kind":"warp_drive"}]}})"),
-               contract_error);
-  // a shared run has one config per row: no per-entry "set" or "sweep"
-  EXPECT_THROW(parse(R"({"name":"x",
-    "rows":[{"axis":"natted_pct","header":"h","values":[1]}],
-    "probes":[{"probe":"stale_pct","set":{"protocol":"nylon"}}]})"),
-               contract_error);
-  EXPECT_THROW(parse(R"({"name":"x",
-    "rows":[{"axis":"natted_pct","header":"h","values":[1]}],
-    "probes":[{"probe":"stale_pct","header":"{}",
-               "sweep":{"axis":"view_size","values":[8]}}]})"),
                contract_error);
 }
 
 TEST(experiment_spec, fields_parse_into_one_entry_type) {
-  // "probes" entries, "columns" entries and "checks" entries are one
-  // spec_entry type: selectors, ratios, row echoes, headers and labels.
+  // "columns" entries and "checks" entries are one spec_entry type:
+  // selectors, ratios, row echoes, headers and labels.
   const experiment_spec shared = parse(R"({
     "name": "tax",
     "title": "taxonomy",
     "single_seed": true,
     "rows": [{"axis": "natted_pct", "header": "n", "values": [0, 50]}],
-    "probes": [
+    "columns": [
       {"probe": "class_bytes_per_s", "class": "public", "header": "pub"},
       {"probe": "class_bytes_per_s", "class": "natted", "header": "nat"},
       {"header": "pub/nat", "ratio": [0, 1], "precision": 2},
@@ -177,7 +170,6 @@ TEST(experiment_spec, fields_parse_into_one_entry_type) {
       "quick": {"peers": 100, "vars": {"half_rounds": 2}}
     }
   })");
-  EXPECT_TRUE(shared.shared_run);
   EXPECT_TRUE(shared.single_seed);
   ASSERT_EQ(shared.columns.size(), 4u);
   EXPECT_EQ(shared.columns[1].cls, "natted");
@@ -216,7 +208,6 @@ TEST(experiment_spec, fields_parse_into_one_entry_type) {
     ],
     "report_params": ["peers", "seeds"]
   })");
-  EXPECT_FALSE(per_column.shared_run);
   ASSERT_TRUE(per_column.split.has_value());
   EXPECT_EQ(per_column.split->table_key, "view_{}");
   EXPECT_EQ(per_column.warmup, "half");
@@ -269,7 +260,7 @@ TEST(experiment_spec, timeline_parses_and_validates) {
   const char* text = R"({
     "name": "tl",
     "rows": [{"axis": "natted_pct", "header": "%NAT", "values": [50]}],
-    "probes": [{"probe": "stale_pct"}],
+    "columns": [{"probe": "stale_pct"}],
     "timeline": {"period_s": 2.5,
                  "probes": ["alive_count", "drop_count.nat_filtered",
                             "in_degree.cv", "obs.arena_bytes_peak"]}
@@ -285,7 +276,7 @@ TEST(experiment_spec, timeline_misuse_is_a_validation_error) {
   const auto tl_spec = [](const char* timeline) {
     return std::string(R"({"name":"x",
       "rows":[{"axis":"natted_pct","header":"h","values":[50]}],
-      "probes":[{"probe":"stale_pct"}],
+      "columns":[{"probe":"stale_pct"}],
       "timeline":)") + timeline + "}";
   };
   // Non-passive probe: the randomness battery consumes peer rngs, so it
@@ -309,10 +300,10 @@ TEST(experiment_spec, timeline_misuse_is_a_validation_error) {
                contract_error);
   EXPECT_THROW(parse(tl_spec(R"({"period_s":5,"probes":[]})")),
                contract_error);
-  // Static specs have no sim time to sample.
-  EXPECT_THROW(parse(R"({"name":"x","static":true,
+  // A world-free spec has no sim time to sample.
+  EXPECT_THROW(parse(R"({"name":"x",
     "rows":[{"axis":"%a","header":"h","values":["open"]}],
-    "probes":[{"probe":"traversal_prescribed"}],
+    "columns":[{"probe":"traversal_prescribed"}],
     "timeline":{"period_s":5,"probes":["alive_count"]}})"),
                contract_error);
 }
@@ -321,7 +312,7 @@ TEST(experiment_spec, timeline_records_per_seed_series_only_when_enabled) {
   const char* base = R"({
     "name": "tl_run",
     "rows": [{"axis": "natted_pct", "header": "%NAT", "values": [0, 60]}],
-    "probes": [{"probe": "alive_count", "precision": 0}],
+    "columns": [{"probe": "alive_count", "precision": 0}],
     "workload": {"phases": [{"kind": "steady", "periods": 4}]}
   })";
   spec_options opt;
@@ -400,7 +391,6 @@ TEST(experiment_spec, workload_variables_and_cells_run_end_to_end) {
       {"sweep": {"axis": "natted_pct", "cell_key": "nat_pct", "values": [0, 50]},
        "header": "{}", "probe": "alive_count", "precision": 0}
     ],
-    "cells": true,
     "report_params": ["peers", "warmup_periods=$half_rounds", "heal_periods=$rounds"]
   })");
   spec_options opt;
@@ -433,7 +423,7 @@ TEST(experiment_spec, workload_variable_misuse_throws) {
   EXPECT_THROW(parse(R"({
     "name": "x", "title": "t",
     "rows": [{"axis": "$frac", "header": "f", "values": [1, 2]}],
-    "probes": [{"probe": "stale_pct", "header": "s"}]
+    "columns": [{"probe": "stale_pct", "header": "s"}]
   })"),
                contract_error);
   // Variable tokens must be numeric.
@@ -441,28 +431,22 @@ TEST(experiment_spec, workload_variable_misuse_throws) {
     "name": "x", "title": "t",
     "workload": {"phases": [{"kind": "mass_departure", "fraction": "$frac"}]},
     "rows": [{"axis": "$frac", "header": "f", "values": ["lots"]}],
-    "probes": [{"probe": "stale_pct", "header": "s"}]
-  })"),
-               contract_error);
-  // "cells" is a columns-mode feature.
-  EXPECT_THROW(parse(R"({
-    "name": "x", "title": "t", "cells": true,
-    "rows": [{"axis": "natted_pct", "header": "n", "values": [0]}],
-    "probes": [{"probe": "stale_pct", "header": "s"}]
+    "columns": [{"probe": "stale_pct", "header": "s"}]
   })"),
                contract_error);
   // Report params only resolve builtin variables.
   EXPECT_THROW(parse(R"({
     "name": "x", "title": "t",
     "rows": [{"axis": "natted_pct", "header": "n", "values": [0]}],
-    "probes": [{"probe": "stale_pct", "header": "s"}],
+    "columns": [{"probe": "stale_pct", "header": "s"}],
     "report_params": ["warmup=$bogus"]
   })"),
                contract_error);
-  // cells serializes cell_key'd axis values as numbers: non-numeric
-  // tokens are rejected at validation, not after the first cell ran.
+  // The per-cell table serializes cell_key'd axis values as numbers:
+  // non-numeric tokens are rejected at validation, not after the first
+  // cell ran.
   EXPECT_THROW(parse(R"({
-    "name": "x", "title": "t", "cells": true,
+    "name": "x", "title": "t",
     "rows": [{"axis": "protocol", "header": "p", "cell_key": "proto",
               "values": ["nylon", "reference"]}],
     "columns": [{"header": "c", "probe": "alive_count"}]
@@ -481,7 +465,7 @@ TEST(experiment_spec, every_workload_variable_value_is_checked_at_parse) {
       {"kind": "mass_departure", "fraction": "$departures/100"}
     ]},
     "rows": [{"axis": "$departures", "header": "dep", "values": [50, 150]}],
-    "probes": [{"probe": "alive_count"}]
+    "columns": [{"probe": "alive_count"}]
   })"),
                contract_error);
 }
@@ -520,7 +504,7 @@ TEST(experiment_spec, selector_misuse_is_a_validation_error) {
     (void)parse(R"({
       "name": "x", "title": "t",
       "rows": [{"axis": "natted_pct", "header": "n", "values": [0]}],
-      "probes": [{"probe": "class_bytes_per_s", "header": "B/s"}]
+      "columns": [{"probe": "class_bytes_per_s", "header": "B/s"}]
     })");
     FAIL() << "expected contract_error";
   } catch (const contract_error& e) {
@@ -542,7 +526,7 @@ TEST(experiment_spec, selector_misuse_is_a_validation_error) {
     "columns": [{"header": "c", "probe": "rvp_chain", "stat": "p90"}]
   })"),
                contract_error);
-  // A check probe outside a static spec / checks list.
+  // A check probe outside a world-free spec / checks list.
   EXPECT_THROW((void)parse(R"({
     "name": "x", "title": "t",
     "rows": [{"axis": "natted_pct", "header": "n", "values": [0]}],
@@ -553,15 +537,18 @@ TEST(experiment_spec, selector_misuse_is_a_validation_error) {
   EXPECT_THROW((void)parse(R"({
     "name": "x", "title": "t",
     "rows": [{"axis": "natted_pct", "header": "n", "values": [0]}],
-    "probes": [{"probe": "stale_pct", "header": "s"}],
+    "columns": [{"probe": "stale_pct", "header": "s"}],
     "checks": [{"probe": "stale_pct"}]
   })"),
                contract_error);
-  // ... and ride probes mode, not columns mode.
+  // ... and need one run per row: probe columns with different "set"s
+  // make two.
   EXPECT_THROW((void)parse(R"({
     "name": "x", "title": "t",
     "rows": [{"axis": "natted_pct", "header": "n", "values": [0]}],
-    "columns": [{"header": "c", "probe": "stale_pct"}],
+    "columns": [{"header": "a", "probe": "stale_pct"},
+                {"header": "b", "probe": "stale_pct",
+                 "set": {"protocol": "nylon"}}],
     "checks": [{"probe": "check_connected"}]
   })"),
                contract_error);
@@ -569,19 +556,13 @@ TEST(experiment_spec, selector_misuse_is_a_validation_error) {
   EXPECT_THROW((void)parse(R"({
     "name": "x", "title": "t",
     "rows": [{"axis": "natted_pct", "header": "n", "values": [0]}],
-    "probes": [{"probe": "stale_pct", "header": "s"}],
+    "columns": [{"probe": "stale_pct", "header": "s"}],
     "verdict": {"pass": "ok", "fail": "bad"}
   })"),
                contract_error);
-  // Static specs cannot reference world-needing probes or workloads.
+  // A world-free spec simulates nothing, so it takes no workload.
   EXPECT_THROW((void)parse(R"({
-    "name": "x", "title": "t", "static": true,
-    "rows": [{"axis": "%src_nat", "header": "s", "values": ["SYM"]}],
-    "columns": [{"header": "c", "probe": "stale_pct"}]
-  })"),
-               contract_error);
-  EXPECT_THROW((void)parse(R"({
-    "name": "x", "title": "t", "static": true,
+    "name": "x", "title": "t",
     "rows": [{"axis": "%src_nat", "header": "s", "values": ["SYM"]}],
     "columns": [{"header": "c", "probe": "traversal_prescribed",
                  "set": {"%dst_nat": "SYM"}}],
@@ -592,15 +573,15 @@ TEST(experiment_spec, selector_misuse_is_a_validation_error) {
   EXPECT_THROW((void)parse(R"({
     "name": "x", "title": "t", "preamble": ["# p"],
     "rows": [{"axis": "natted_pct", "header": "n", "values": [0]}],
-    "probes": [{"probe": "stale_pct", "header": "s"}]
+    "columns": [{"probe": "stale_pct", "header": "s"}]
   })"),
                contract_error);
-  // Ratio probe entries need seed aggregates: rejected in static specs
-  // at validation, not via an internal postcondition at execution.
+  // Ratio probe entries need seed aggregates: rejected in world-free
+  // specs at validation, not via an internal postcondition at execution.
   EXPECT_THROW((void)parse(R"({
-    "name": "x", "title": "t", "static": true,
+    "name": "x", "title": "t",
     "rows": [{"axis": "%src_nat", "header": "s", "values": ["SYM"]}],
-    "probes": [
+    "columns": [
       {"probe": "traversal_prescribed", "header": "a"},
       {"probe": "traversal_prescribed", "header": "b"},
       {"header": "r", "ratio": [0, 1]}
@@ -612,7 +593,7 @@ TEST(experiment_spec, selector_misuse_is_a_validation_error) {
   EXPECT_THROW((void)parse(R"({
     "name": "x", "title": "t",
     "rows": [{"axis": "natted_pct", "header": "n", "values": [0]}],
-    "probes": [{"probe": "stale_pct", "header": "s"}],
+    "columns": [{"probe": "stale_pct", "header": "s"}],
     "profiles": {"full": {"vars": {"foo": 5}}},
     "report_params": ["x=$foo"]
   })"),
@@ -627,7 +608,7 @@ TEST(experiment_spec, per_class_and_ratio_probes_share_one_run) {
     "warmup": "half",
     "base": {"protocol": "nylon"},
     "rows": [{"axis": "natted_pct", "header": "%NAT", "values": [40]}],
-    "probes": [
+    "columns": [
       {"probe": "class_bytes_per_s", "class": "public", "header": "public B/s"},
       {"probe": "class_bytes_per_s", "class": "natted", "header": "natted B/s"},
       {"header": "public/natted", "ratio": [0, 1], "precision": 2}
@@ -649,35 +630,53 @@ TEST(experiment_spec, per_class_and_ratio_probes_share_one_run) {
   EXPECT_NEAR(ratio, pub / nat, 0.01);  // table-precision rounding
 }
 
-TEST(experiment_spec, one_probe_column_is_the_same_study_in_either_mode) {
-  // One row pipeline: a single probe column is one sweep per row whether
-  // it is its own run ("columns") or the row's shared run ("probes"), and
-  // ratio / row_value entries compute the same in both modes.
-  const char* entries = R"([
-      {"probe": "stale_pct", "header": "stale %", "precision": 3},
-      {"header": "stale/stale", "ratio": [0, 0], "precision": 2},
-      {"header": "%NAT", "row_value": true}
-    ])";
-  const auto spec_text = [&](const char* mode) {
-    return std::string(R"({"name": "modes", "title": "t",
+TEST(experiment_spec, columns_with_equal_set_share_one_run) {
+  // Two columns with an equal "set" ride one run per row, the third its
+  // own: two timeline series per row, each naming its run's first
+  // column. Sharing changes no cell: each equals the cell that column
+  // gives as a single-column spec (the battery probe included, since it
+  // judges the stream cached on the run's context).
+  const std::vector<std::string> columns = {
+      R"({"header": "stale", "set": {"protocol": "nylon"},
+          "probe": "stale_pct", "precision": 3})",
+      R"({"header": "runs p", "set": {"protocol": "nylon"},
+          "probe": "sample_runs_p", "precision": 4})",
+      R"({"header": "ref stale", "set": {"protocol": "reference"},
+          "probe": "stale_pct", "precision": 3})"};
+  const auto spec_of = [](const std::string& entries) {
+    return parse(R"({"name": "shared", "title": "t",
       "rows": [{"axis": "natted_pct", "header": "%NAT", "values": [0, 60]}],
-      ")") + mode + "\": " + entries + "}";
+      "columns": [)" + entries + "]}");
   };
   spec_options opt;
   opt.peers = 40;
   opt.rounds = 4;
   opt.seeds = 2;
   opt.threads = 1;
-  std::ostringstream per_column_out;
-  const util::json per_column =
-      run_spec(parse(spec_text("columns")), opt, per_column_out);
-  std::ostringstream shared_out;
-  const util::json shared =
-      run_spec(parse(spec_text("probes")), opt, shared_out);
-  EXPECT_EQ(per_column_out.str(), shared_out.str());
-  EXPECT_EQ(per_column.dump_string(0), shared.dump_string(0));
-  const util::json& row = shared.at("table").at("rows").at(std::size_t{1});
-  EXPECT_EQ(row.at(std::size_t{3}).as_string(), "60");
+  opt.timeline = true;
+  std::ostringstream out;
+  const util::json doc =
+      run_spec(spec_of(columns[0] + "," + columns[1] + "," + columns[2] +
+                       R"(, {"header": "%NAT", "row_value": true})"),
+               opt, out);
+  const util::json& series = doc.at("timeline").at("cells");
+  ASSERT_EQ(series.size(), 4u);  // 2 rows x 2 runs
+  EXPECT_EQ(series.at(0).at("column").as_string(), "stale");
+  EXPECT_EQ(series.at(1).at("column").as_string(), "ref stale");
+  const util::json& rows = doc.at("table").at("rows");
+  for (std::size_t j = 0; j < columns.size(); ++j) {
+    SCOPED_TRACE(columns[j]);
+    std::ostringstream alone_out;
+    const util::json alone = run_spec(spec_of(columns[j]), opt, alone_out);
+    // A single-run row's series carries no column name.
+    EXPECT_EQ(alone.at("timeline").at("cells").at(0).find("column"),
+              nullptr);
+    for (std::size_t r = 0; r < rows.size(); ++r) {
+      EXPECT_EQ(rows.at(r).at(j + 1).as_string(),
+                alone.at("table").at("rows").at(r).at(1).as_string());
+    }
+  }
+  EXPECT_EQ(rows.at(1).at(4).as_string(), "60");  // row_value echo
 }
 
 TEST(experiment_spec, checks_emit_verdicts_and_exit_status) {
@@ -685,7 +684,7 @@ TEST(experiment_spec, checks_emit_verdicts_and_exit_status) {
     "name": "checked", "title": "with checks",
     "base": {"protocol": "nylon"},
     "rows": [{"axis": "natted_pct", "header": "%NAT", "values": [0, 50]}],
-    "probes": [{"probe": "biggest_cluster_pct", "header": "cluster %"}],
+    "columns": [{"probe": "biggest_cluster_pct", "header": "cluster %"}],
     "checks": [
       {"probe": "check_connected"},
       {"probe": "check_no_dead_refs", "name": "freshness"}
@@ -761,7 +760,7 @@ TEST(experiment_spec, failed_check_dump_holds_only_the_failing_universe) {
       ]},
       "rows": [{"axis": "$departures", "header": "dep", "values": )" +
                  departures + R"(}],
-      "probes": [{"probe": "alive_count"}],
+      "columns": [{"probe": "alive_count"}],
       "checks": [{"probe": "check_no_dead_refs"}]
     })");
   };
@@ -780,7 +779,7 @@ TEST(experiment_spec, warmup_beyond_the_run_leaves_no_measured_window) {
   const experiment_spec spec = parse(R"({
     "name": "w", "title": "t", "warmup": 4294967297,
     "rows": [{"axis": "natted_pct", "header": "n", "values": [0]}],
-    "probes": [{"probe": "all_bytes_per_s", "header": "bytes/s"}]
+    "columns": [{"probe": "all_bytes_per_s", "header": "bytes/s"}]
   })");
   spec_options opt;
   opt.peers = 20;
@@ -800,7 +799,7 @@ TEST(experiment_spec, single_seed_runs_one_derived_seed) {
     "name": "one_seed", "title": "single seed",
     "single_seed": true,
     "rows": [{"axis": "natted_pct", "header": "%NAT", "values": [30]}],
-    "probes": [{"probe": "stale_pct", "header": "stale %", "precision": 4}]
+    "columns": [{"probe": "stale_pct", "header": "stale %", "precision": 4}]
   })");
   spec_options opt;
   opt.peers = 50;
@@ -834,7 +833,7 @@ TEST(experiment_spec, trajectory_only_capture_matches_the_combined_form) {
   const char* text = R"({
     "name": "traj_only",
     "rows": [{"axis": "natted_pct", "header": "%NAT", "values": [40]}],
-    "probes": [{"probe": "alive_count", "precision": 0}],
+    "columns": [{"probe": "alive_count", "precision": 0}],
     "workload": {"phases": [{"kind": "steady", "periods": 3},
                             {"kind": "mass_departure", "fraction": 0.3},
                             {"kind": "steady", "periods": 2}]},
@@ -964,7 +963,6 @@ TEST(experiment_spec, static_spec_runs_without_simulation) {
   const experiment_spec spec = parse(R"({
     "name": "static_mini",
     "preamble": ["# tiny traversal check"],
-    "static": true,
     "rows": [{"axis": "%src_nat", "header": "src", "values": ["RC", "SYM"]}],
     "columns": [
       {"header": "to public", "set": {"%dst_nat": "public"},
@@ -1021,12 +1019,38 @@ TEST(experiment_spec, sim_frames_transport_is_output_invariant) {
   EXPECT_EQ(framed.at("transport").as_string(), "sim-frames");
 }
 
+TEST(experiment_spec, udp_runs_report_summed_wire_stats) {
+  // Real-socket runs carry the backend's wire-level telemetry, summed
+  // over every universe, under "udp"; sim runs carry no such block.
+  const experiment_spec spec = parse(kMinimalSpec);
+  spec_options opt;
+  opt.peers = 16;
+  opt.rounds = 3;
+  opt.seeds = 2;
+  opt.threads = 1;
+  std::ostringstream sim_out;
+  EXPECT_EQ(run_spec(spec, opt, sim_out).find("udp"), nullptr);
+
+  opt.transport = "udp";
+  opt.udp_time_scale = 0.002;
+  std::ostringstream out;
+  const util::json doc = run_spec(spec, opt, out);
+  ASSERT_NE(doc.find("udp"), nullptr);
+  const util::json& wire = doc.at("udp");
+  EXPECT_GT(wire.at("datagrams_received").as_int(), 0);
+  EXPECT_LE(wire.at("datagrams_received").as_int(),
+            wire.at("datagrams_sent").as_int());
+  EXPECT_GT(wire.at("real_bytes_sent").as_int(), 0);
+  EXPECT_EQ(wire.at("decode_errors").as_int(), 0);
+  EXPECT_EQ(wire.at("no_route").as_int(), 0);
+}
+
 TEST(experiment_spec, transport_can_come_from_the_spec_base) {
   const experiment_spec spec = parse(R"({
     "name": "framed", "title": "t",
     "base": {"transport": "sim-frames"},
     "rows": [{"axis": "natted_pct", "header": "%NAT", "values": [0]}],
-    "probes": [{"probe": "stale_pct", "header": "stale %"}]
+    "columns": [{"probe": "stale_pct", "header": "stale %"}]
   })");
   spec_options opt;
   opt.peers = 30;
@@ -1052,7 +1076,7 @@ TEST(experiment_spec, bad_transport_token_throws) {
     "name": "bad", "title": "t",
     "base": {"transport": "quantum"},
     "rows": [{"axis": "natted_pct", "header": "%NAT", "values": [0]}],
-    "probes": [{"probe": "stale_pct", "header": "stale %"}]
+    "columns": [{"probe": "stale_pct", "header": "stale %"}]
   })"),
                contract_error);
 }
