@@ -1333,7 +1333,7 @@ spec_plan plan_spec(const experiment_spec& spec, const spec_options& opt) {
         const spec_axis& axis = spec.rows[a];
         const std::string& token = axis.values[index[a]];
         labels.push_back(row.apply(axis.key, token));
-        if (plan.cell_table && !axis.cell_key.empty()) {
+        if (!axis.cell_key.empty()) {
           row_keys[axis.cell_key] = var_value(var_numeric(axis.key, token));
         }
       }

@@ -76,6 +76,10 @@ TEST(experiment_spec, bad_inputs_throw_contract_errors) {
   // no rows
   EXPECT_THROW(parse(R"({"name":"x","columns":[{"probe":"stale_pct"}]})"),
                contract_error);
+  // no columns
+  EXPECT_THROW(parse(R"({"name":"x",
+    "rows":[{"axis":"natted_pct","header":"h","values":[1]}]})"),
+               contract_error);
   // the retired mode keys are unknown keys: the runner derives shared
   // runs, world-free evaluation and the per-cell table from the spec
   for (const char* retired : {R"("probes":[{"probe":"stale_pct"}])",
